@@ -116,9 +116,9 @@ def resolve_curve(args) -> WeierstrassCurve:
     if getattr(args, "curve", None):
         entry = curves.catalogue_entry(args.curve, getattr(args, "catalogue", None))
         if entry.model is None:
-            raise SystemExit(f"catalogue entry {args.curve} carries no model")
+            raise ValueError(f"catalogue entry {args.curve} carries no model")
         return entry.curve
-    raise SystemExit("need --curve LABEL or --model a1,a2,a3,a4,a6")
+    raise ValueError("need --curve LABEL or --model a1,a2,a3,a4,a6")
 
 
 def resolve_pencil_params(args):
@@ -275,6 +275,8 @@ def cmd_match(args):
             a_p = curves.ap_count(resolve_curve(args), args.p)
         rep = matching.euler_match_verify(params, a_p, args.p, args.branch, args.tol)
         return emit(args, "match", _match_payload(rep), rep.status, args.tol)
+    if args.max_p is None:
+        raise ValueError("need --p or --max-p")
     curve = resolve_curve(args)
     rows, status = [], "PASS"
     for p in curves.good_primes(curve, args.max_p):

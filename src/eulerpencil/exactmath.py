@@ -43,6 +43,32 @@ def _as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _square_split(n: int) -> tuple[int, int]:
+    """Split an integer n >= 1 as n = s*s*k with k squarefree; return (s, k).
+
+    Trial division runs only while i**3 <= the remaining cofactor m.  After
+    it, m has no prime factor below i and m < i**3, so m is 1, a prime q, a
+    product q*q' of two distinct primes, or a square q*q; one isqrt decides.
+    Cost: O(n^(1/3)) steps.
+    """
+    s = k = 1
+    m = n
+    i = 2
+    while i * i * i <= m:
+        if m % i == 0:
+            e = 0
+            while m % i == 0:
+                m //= i
+                e += 1
+            s *= i ** (e // 2)
+            k *= i ** (e & 1)
+        i += 1 if i == 2 else 2
+    r = math.isqrt(m)
+    if r * r == m:
+        return s * r, k
+    return s, k * m
+
+
 def _exact_sqrt(q: Fraction) -> Fraction | None:
     """Return sqrt(q) as a Fraction if q is a perfect rational square."""
     if q < 0:
@@ -62,6 +88,14 @@ class QuadExt:
     distinct (non-trivial) radicands raises :class:`MixedRadicandError`
     rather than silently degrading to floats.  If ``d`` is a perfect
     rational square the value is normalised to ``y = 0`` (and ``d = 0``).
+
+    Invariant: ``d == 0`` when ``y == 0``; otherwise ``d`` is the squarefree
+    integer part of the radicand given (never 0 or 1), and the rational
+    square factor taken out of it is moved into ``y``.  Equal values
+    therefore have equal fields.  Construction costs O(n^(1/3)) trial
+    divisions in n = |num(d) * den(d)|.  Ring results (``+``, ``-``, ``*``,
+    ``/``, ``**``, ``conj``) inherit an operand's canonical radicand and do
+    not canonicalise again.
     """
 
     x: Fraction
@@ -80,19 +114,25 @@ class QuadExt:
                 # canonicalise: d -> its squarefree integer part, so equal
                 # values compare equal regardless of how they were built
                 sign = 1 if d >= 0 else -1
-                k = abs(d.numerator) * d.denominator
-                y = y / d.denominator
-                i = 2
-                while i * i <= k:
-                    sq = i * i
-                    while k % sq == 0:
-                        k //= sq
-                        y *= i
-                    i += 1
+                s, k = _square_split(abs(d.numerator) * d.denominator)
+                y = y * s / d.denominator
                 d = Fraction(sign * k)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _trusted(cls, x: Fraction, y: Fraction, d: Fraction) -> "QuadExt":
+        """Build x + y*sqrt(d) over a radicand that is already canonical.
+
+        Ring results reuse an operand's radicand, so they skip the
+        canonicalisation in ``__init__``.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "d", d if y != 0 else Fraction(0))
+        return self
 
     # -- coercion ---------------------------------------------------------
 
@@ -118,12 +158,12 @@ class QuadExt:
         except TypeError:
             return NotImplemented
         d = self._join(other)
-        return QuadExt(self.x + other.x, self.y + other.y, d)
+        return QuadExt._trusted(self.x + other.x, self.y + other.y, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.x, -self.y, self.d)
+        return QuadExt._trusted(-self.x, -self.y, self.d)
 
     def __sub__(self, other):
         try:
@@ -141,7 +181,7 @@ class QuadExt:
         except TypeError:
             return NotImplemented
         d = self._join(other)
-        return QuadExt(
+        return QuadExt._trusted(
             self.x * other.x + d * self.y * other.y,
             self.x * other.y + self.y * other.x,
             d,
@@ -192,7 +232,7 @@ class QuadExt:
 
     def conj(self) -> "QuadExt":
         """The quadratic conjugate x - y*sqrt(d)."""
-        return QuadExt(self.x, -self.y, self.d)
+        return QuadExt._trusted(self.x, -self.y, self.d)
 
     def norm(self) -> Fraction:
         """Field norm x^2 - d*y^2 (a rational)."""

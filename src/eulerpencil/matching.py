@@ -26,7 +26,6 @@ from .exactmath import (
     _as_fraction,
     group_pseudoinverse2,
     poly_divrem,
-    pseudoinverse2,
     quad_roots,
 )
 from .pencil import Pencil2, pencil_from_tdd, resolvent_tr_det, spectral_poly, zco_pencil

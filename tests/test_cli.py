@@ -81,6 +81,39 @@ def test_exit_two_on_unknown_curve(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("match", "--curve", "256b2"), "need --p or --max-p"),
+        (("ap", "--max-p", "50"), "need --curve"),
+        (("ap", "--curve", "389a1", "--max-p", "50"), "carries no model"),
+    ],
+)
+def test_exit_two_on_missing_input(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "error:" in err and message in err
+    assert "Traceback" not in err
+
+
+# -- golden radicands ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, w",
+    [
+        (
+            ("--ap", "37", "--p", "99991", "--branch", "minus"),
+            {"x": "37/199982", "y": "-1/199982", "d": "39993198919"},
+        ),
+        (("--ap", "0", "--p", "99989"), {"x": "0", "y": "3/99989", "d": "1110877790"}),
+    ],
+)
+def test_basepoint_json_radicand_golden(capsys, argv, w):
+    code, out, _ = run(capsys, "basepoint", *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["w"] == w
+
+
 # -- assorted smoke -----------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eulerpencil.exactmath import (
@@ -12,6 +12,8 @@ from eulerpencil.exactmath import (
     LaurentBiPoly,
     Matrix2,
     QuadExt,
+    _exact_sqrt,
+    _square_split,
     group_pseudoinverse2,
     poly_divrem,
     pseudoinverse2,
@@ -99,6 +101,79 @@ def test_quadext_mixed_radicands_rejected():
 
     with pytest.raises(MixedRadicandError):
         QuadExt(0, 1, 2) + QuadExt(0, 1, 3)
+
+
+# -- canonical radicand -------------------------------------------------------
+
+
+def _naive_square_split(n):
+    """Reference: strip square factors i*i for every i up to sqrt(n)."""
+    s, k, i = 1, n, 2
+    while i * i <= k:
+        while k % (i * i) == 0:
+            k //= i * i
+            s *= i
+        i += 1
+    return s, k
+
+
+def _is_canonical(z):
+    if z.y == 0:
+        return z.d == 0
+    n = abs(z.d.numerator)
+    return z.d.denominator == 1 and z.d not in (0, 1) and _naive_square_split(n) == (1, n)
+
+
+def test_square_split_matches_naive_reference():
+    for n in range(1, 20001):
+        assert _square_split(n) == _naive_square_split(n), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        10007**2,  # q^2 left over after the cube-root loop
+        12 * 10007**2,
+        1009**3,
+        100003 * 100019,  # q*q' with both primes above n^(1/3)
+        1000000007,  # a large prime
+        4 * 99989 * 99990,  # Delta_p for a_p = 0, p = 99989
+        4 * 99991 * 99992 - 37**2,  # Delta_p for a_p = 37, p = 99991
+    ],
+)
+def test_square_split_hard_cofactors(n):
+    s, k = _square_split(n)
+    assert s * s * k == n
+    assert (s, k) == _naive_square_split(n)
+
+
+@given(
+    rationals,
+    rationals,
+    st.integers(min_value=-50, max_value=50).filter(bool),
+    st.fractions(min_value=-500, max_value=500, max_denominator=12),
+)
+@example(Fraction(0), Fraction(1), 2, Fraction(-1, 4))
+@settings(max_examples=100, deadline=None)
+def test_quadext_square_factor_moves_into_y(x, y, s, d):
+    assume(_exact_sqrt(d) is None)
+    a = QuadExt(x, y * abs(s), d)
+    b = QuadExt(x, y, d * s * s)
+    assert a == b
+    assert (a.x, a.y, a.d) == (b.x, b.y, b.d)
+    assert hash(a) == hash(b)
+    assert _is_canonical(a)
+
+
+@given(radicands.flatmap(lambda d: st.tuples(quadexts(d=d), quadexts(d=d))))
+@settings(max_examples=80, deadline=None)
+def test_quadext_ring_results_stay_canonical(pair):
+    a, b = pair
+    results = [a + b, a - b, a * b, -a, a.conj(), a**3]
+    if b != 0:
+        results.append(a / b)
+    for z in results:
+        assert _is_canonical(z), z
 
 
 # -- quad_roots ---------------------------------------------------------------
