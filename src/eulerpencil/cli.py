@@ -398,7 +398,7 @@ def cmd_delta_series(args):
 def cmd_sato_tate(args):
     curve = resolve_curve(args)
     series = stats.delta_p_series(curve, args.X)
-    rep = stats.sato_tate_report(series)
+    rep = stats.sato_tate_report(series, cm_by_zi=curves.cm_discriminant(curve) is not None)
     payload = {
         "inert_fraction": rep.inert_fraction,
         "split_ks_distance": rep.split_ks_distance,
@@ -591,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, fn)
         curve_opts(p)
         p.add_argument("--X", type=int, default=10**4)
-        p.add_argument("--threads", type=int, default=1)
 
     p = add("bulk", cmd_bulk)
     curve_opts(p)

@@ -19,6 +19,10 @@ class BranchCutError(ValueError):
     """Raised for evaluation points on the arcsine branch cut [-1, 1]."""
 
 
+class ConvergenceError(ValueError):
+    """Raised when a series does not reach its tolerance within its term budget."""
+
+
 @dataclass(frozen=True)
 class Dispersion:
     """A smooth odd surjection a: R -> (-1, 1) with a'(xi) > 0.
@@ -141,12 +145,13 @@ def dirichlet_L_chi4(s: float, tol: float = 1e-12) -> float:
     """L(s, chi_{-4}) = sum_{k>=0} (-1)^k / (2k+1)^s by Euler transformation.
 
     The alternating series converges for s > 0; iterated averaging of the
-    partial sums accelerates it to desk precision.
+    partial sums accelerates it to desk precision.  Raises ConvergenceError
+    when successive estimates still differ by more than tol/2 at 640 terms.
     """
     if s <= 0:
         raise NotImplementedError("series path needs s > 0; use the functional equation")
     n_terms = 40
-    last = None
+    last, change = None, math.inf
     while n_terms <= 640:
         partial = []
         total = 0.0
@@ -158,11 +163,16 @@ def dirichlet_L_chi4(s: float, tol: float = 1e-12) -> float:
         while len(row) > 1:
             row = [(row[i] + row[i + 1]) / 2 for i in range(len(row) - 1)]
         value = row[0]
-        if last is not None and abs(value - last) <= tol / 2:
-            return value
+        if last is not None:
+            change = abs(value - last)
+            if change <= tol / 2:
+                return value
         last = value
         n_terms *= 2
-    return last
+    raise ConvergenceError(
+        f"L(s, chi_-4) at s={s} not converged within 640 terms: "
+        f"last change {change:.3e} > tol/2 = {tol / 2:.3e}"
+    )
 
 
 def eta_value(s: float, tol: float = 1e-12) -> float:

@@ -1,9 +1,13 @@
 """Elliptic curves over Q: invariants, point counting, quartic reduction.
 
-The Frobenius-trace oracle ``ap_count`` is direct point counting (Legendre
-symbol sweep for odd primes, exhaustive enumeration at p = 2) and is the
-ground truth for every matching and statistical test.  A curated catalogue
-of curve/pencil data ships as package data.
+The Frobenius trace ``ap_count`` is the ground truth for every matching and
+statistical test.  Above a fixed cutoff it runs Shanks-Mestre baby-step
+giant-step on the short model, O(p^{1/4}) group operations per prime; small
+primes, p = 2 and forced counts at bad primes use the O(p) Legendre-symbol
+sweep (exhaustive enumeration at p = 2), which the tests keep as the oracle
+for the fast path.  ``CM_DISCRIMINANTS`` lists the 13 rational CM
+j-invariants.  A curated catalogue of curve/pencil data ships as package
+data.
 """
 
 from __future__ import annotations
@@ -137,16 +141,31 @@ def is_good_prime(curve: WeierstrassCurve, p: int) -> bool:
 
 
 def ap_count(curve: WeierstrassCurve, p: int, force: bool = False) -> int:
-    """Frobenius trace a_p = p + 1 - #E(F_p) by direct point counting.
+    """Frobenius trace a_p = p + 1 - #E(F_p).
 
-    Odd p: complete the square, g(x) = 4(x^3+a2 x^2+a4 x+a6) + (a1 x+a3)^2,
-    and a_p = -sum_x chi_p(g(x)) with chi_p the Legendre symbol.  p = 2:
-    exhaustive enumeration.  Bad primes are rejected unless force=True.
+    Good primes p > ``_SHANKS_MESTRE_MIN_P`` are counted by Shanks-Mestre
+    baby-step giant-step (Cohen, GTM 138, 7.4.2), O(p^{1/4}) curve operations
+    per prime: about 60 at p ~ 3e4.  Smaller primes and every call with
+    force=True (bad reduction) go through the O(p) Legendre-symbol sweep
+    ``_ap_legendre``, which is also the oracle the tests hold the fast path
+    to.  Bad primes are rejected unless force=True.
     """
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if not is_good_prime(curve, p) and not force:
         raise BadReductionError(f"p={p} is a bad prime for {curve} (pass force=True)")
+    if p > _SHANKS_MESTRE_MIN_P and not force:
+        return _ap_shanks_mestre(curve, p)
+    return _ap_legendre(curve, p)
+
+
+def _ap_legendre(curve: WeierstrassCurve, p: int) -> int:
+    """a_p by direct point counting at any prime, good or bad.
+
+    Odd p: complete the square, g(x) = 4(x^3+a2 x^2+a4 x+a6) + (a1 x+a3)^2,
+    and a_p = -sum_x chi_p(g(x)) with chi_p the Legendre symbol.  p = 2:
+    exhaustive enumeration.
+    """
     a1, a2, a3, a4, a6 = (_coeff_mod(c, p) for c in
                           (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
     if p == 2:
@@ -165,6 +184,137 @@ def ap_count(curve: WeierstrassCurve, p: int, force: bool = False) -> int:
     is_square[x * x % p] = True
     chi = np.where(g == 0, 0, np.where(is_square[g], 1, -1))
     return -int(chi.sum())
+
+
+# Shanks-Mestre.  Mestre's theorem: for p > 229, E or its quadratic twist E'
+# has a point whose order has exactly one multiple in the Hasse interval, so
+# intersecting the group orders that points of E and E' allow always ends at
+# a single #E.  Points are affine (x, y) tuples over F_p, None is the point at
+# infinity, and ``a`` is the x-coefficient of the short model they lie on.
+
+#: Good primes above this are counted by Shanks-Mestre, the rest by the
+#: Legendre sweep.  Must be >= 229 (Mestre's bound).  The two paths cross
+#: near p ~ 1000: about 60-80 us per prime each on a 2-CPU x86-64 VM, against
+#: 1.0-1.7 ms (Legendre) and 0.08-0.12 ms (Shanks-Mestre) at p ~ 3e4.
+_SHANKS_MESTRE_MIN_P = 1000
+
+
+def _ec_add(P, Q, a: int, p: int):
+    """P + Q on y^2 = x^3 + a x + b over F_p (b is implied by the points)."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(k: int, P, a: int, p: int):
+    """k P for k >= 0 by double-and-add."""
+    R = None
+    while k:
+        if k & 1:
+            R = _ec_add(R, P, a, p)
+        k >>= 1
+        if k:
+            P = _ec_add(P, P, a, p)
+    return R
+
+
+def _progression_hits(Q, R, count: int, a: int, p: int) -> list[int]:
+    """Ascending t in [0, count) with Q + t R = O, by baby-step giant-step.
+
+    Baby steps store x(jR) for 1 <= j <= m; giant steps G_i = Q + i(2m+1)R
+    then meet +-jR exactly when t = i(2m+1) -+ j is a solution.  If R has
+    order n <= 2m (seen as O, a 2-torsion point or a repeated x among the
+    baby steps), t is found in [0, n) directly.  The solutions always form
+    an arithmetic progression with difference ord(R).
+    """
+    m = max(1, math.isqrt(count // 2))
+    baby: dict[int, tuple[int, int]] = {}
+    jR = None
+    for j in range(1, m + 1):
+        jR = _ec_add(jR, R, a, p)
+        if jR is None:
+            n = j
+        elif jR[1] == 0:
+            n = 2 * j
+        elif jR[0] in baby:
+            i, y = baby[jR[0]]
+            n = j - i if y == jR[1] else j + i
+        else:
+            baby[jR[0]] = (j, jR[1])
+            continue
+        G = Q
+        for t in range(min(n, count)):
+            if G is None:
+                return list(range(t, count, n))
+            G = _ec_add(G, R, a, p)
+        return []
+    giant = 2 * m + 1
+    sR = _ec_add(jR, _ec_add(jR, R, a, p), a, p)
+    hits = []
+    G = Q
+    for base in range(0, count + m, giant):
+        if G is None:
+            hits.append(base)
+        else:
+            hit = baby.get(G[0])
+            if hit is not None:
+                hits.append(base - hit[0] if G[1] == hit[1] else base + hit[0])
+        G = _ec_add(G, sR, a, p)
+    return [t for t in hits if 0 <= t < count]
+
+
+def _ap_shanks_mestre(curve: WeierstrassCurve, p: int) -> int:
+    """a_p at a good prime p > 229 (p > 3) by Shanks-Mestre.
+
+    Works on the short model y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6.
+    For x = 1, 2, ... with f = f(x) != 0, (x f, f^2) lies on
+    y^2 = X^3 + A f^2 X + B f^3, which is E if f is a square mod p and the
+    twist E' (#E' = 2p + 2 - #E) if not.  The candidates for #E stay an
+    arithmetic progression start + t step, 0 <= t < count, narrowed by each
+    point until one is left.  Falls back to the Legendre sweep if x reaches p.
+    """
+    for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6):
+        _coeff_mod(c, p)  # a model not integral at p fails as in the Legendre sweep
+    inv = curve_invariants(curve)
+    A = -27 * _coeff_mod(inv.c4, p) % p
+    B = -54 * _coeff_mod(inv.c6, p) % p
+    r = math.isqrt(4 * p)
+    start, step, count = p + 1 - r, 1, 2 * r + 1
+    half = (p - 1) // 2
+    # x = 0 is skipped: on j = 0 curves (A = 0) it always gives a point of order 3.
+    for x in range(1, p):
+        f = ((x * x + A) * x + B) % p
+        if f == 0:
+            continue
+        ff = f * f % p
+        P = (x * f % p, ff)
+        a = A * ff % p
+        R = _ec_mul(step, P, a, p)
+        if pow(f, half, p) == 1:
+            Q = _ec_mul(start, P, a, p)
+        else:
+            Q = _ec_mul(2 * p + 2 - start, P, a, p)
+            R = None if R is None else (R[0], -R[1] % p)
+        hits = _progression_hits(Q, R, count, a, p)
+        if not hits:
+            raise ArithmeticError(f"no group order of {curve} at p={p} fits point x={x}")
+        start += hits[0] * step
+        if len(hits) == 1:
+            return p + 1 - start
+        step *= hits[1] - hits[0]
+        count = len(hits)
+    return _ap_legendre(curve, p)
 
 
 def good_primes(curve: WeierstrassCurve, X: int) -> list[int]:
@@ -187,6 +337,37 @@ def cornacchia_candidates(p: int) -> set[int]:
         if a * a == a_sq and a % 2 == 1:
             return {2 * a, -2 * a, 2 * b, -2 * b}
     raise ArithmeticError(f"no two-square decomposition found for p={p}")
+
+
+#: The 13 rational j-invariants with complex multiplication, each mapped to
+#: the discriminant D of its CM order (the 13 imaginary quadratic orders of
+#: class number one).
+CM_DISCRIMINANTS: dict[int, int] = {
+    0: -3, 1728: -4, -3375: -7, 8000: -8, -32768: -11, 54000: -12,
+    287496: -16, -884736: -19, -12288000: -27, 16581375: -28,
+    -884736000: -43, -147197952000: -67, -262537412640768000: -163,
+}
+
+
+def cm_discriminant(curve: WeierstrassCurve) -> Optional[int]:
+    """Discriminant of the curve's CM order, read from j; None without CM."""
+    return CM_DISCRIMINANTS.get(curve_invariants(curve).j)
+
+
+def cm_splits(D: int, p: int) -> bool:
+    """Whether the Kronecker symbol (d_K/p) is +1: p splits in the CM field.
+
+    d_K is the field discriminant of the order discriminant D = f^2 d_K, so
+    the answer also holds at primes dividing the conductor f (p = 2 splits
+    for D = -28).  At a good prime of a CM curve, p splits exactly when E is
+    ordinary, so a non-split good prime has a_p = 0 once p > 3.
+    """
+    for f in (2, 3):
+        while D % (f * f) == 0 and (D // (f * f)) % 4 in (0, 1):
+            D //= f * f
+    if p == 2:
+        return D % 8 == 1
+    return pow(D % p, (p - 1) // 2, p) == 1
 
 
 class ApTable(NamedTuple):

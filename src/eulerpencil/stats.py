@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .continuum import arcsine_cdf
-from .curves import WeierstrassCurve, ap_count, good_primes
+from .curves import WeierstrassCurve, ap_count, cm_discriminant, cm_splits, good_primes
 from .matching import canonical_basepoint
 
 EPSILON_BOUND_C = 1.5  # |delta_p - a_p/(2 sqrt p)| <= C / sqrt(p)
@@ -73,10 +73,15 @@ def delta_p_series(curve: WeierstrassCurve, X: int) -> PrimeSeries:
     """Canonical-basepoint observables for every good prime <= X.
 
     Verifies the fluctuation bound |delta_p - a_p/(2 sqrt p)| <= 1.5/sqrt(p)
-    row by row.
+    row by row.  On a CM curve (j in ``curves.CM_DISCRIMINANTS``) a row is
+    "split" when p splits in the CM field and "inert" otherwise, so inert
+    rows carry a_p = 0.  A non-CM curve has no such classes; its rows keep
+    the Z[i] convention: "inert" for p = 3 mod 4, "split" for p = 1 mod 4 and
+    "bad" for p = 2.
     """
     if X < 10:
         raise ValueError("X must be >= 10")
+    D = cm_discriminant(curve)
     rows = []
     for p in good_primes(curve, X):
         a_p = ap_count(curve, p)
@@ -90,7 +95,10 @@ def delta_p_series(curve: WeierstrassCurve, X: int) -> PrimeSeries:
             raise ArithmeticError(
                 f"fluctuation bound violated at p={p}: gap={gap:.3e}"
             )
-        cls = "inert" if p % 4 == 3 else ("split" if p % 4 == 1 else "bad")
+        if D is not None:
+            cls = "split" if cm_splits(D, p) else "inert"
+        else:
+            cls = "inert" if p % 4 == 3 else ("split" if p % 4 == 1 else "bad")
         rows.append(PrimeRow(p, a_p, w, u, lam, delta, cls))
     return PrimeSeries(label=str(curve), X=X, rows=tuple(rows))
 
@@ -116,7 +124,11 @@ def ks_distance(samples: Sequence[float], cdf) -> float:
 
 
 def sato_tate_report(series: PrimeSeries, cm_by_zi: bool = True) -> SatoTateReport:
-    """Inert fraction, split KS distance to the arcsine CDF, 0.1-width histogram."""
+    """Inert fraction, split KS distance to the arcsine CDF, 0.1-width histogram.
+
+    Pass cm_by_zi=False for a curve without CM: the report then carries a
+    warning that the arcsine claim does not apply.
+    """
     good = [r for r in series.rows if r.cls != "bad"]
     inert_fraction = len(series.inert_rows()) / len(good)
     split_deltas = [r.delta for r in series.split_rows()]

@@ -95,6 +95,26 @@ def test_exit_two_on_missing_input(capsys, argv, message):
     assert "Traceback" not in err
 
 
+def test_exit_two_on_unconverged_series(capsys):
+    code, out, err = run(capsys, "chi4-L", "--s", "2", "--tol", "1e-18")
+    assert code == 2 and not out
+    assert "error:" in err and "not converged" in err and "Traceback" not in err
+
+
+def test_threads_flag_removed(capsys):
+    code, _, _ = run(capsys, "delta-series", "--curve", "256b2", "--X", "100",
+                     "--threads", "2")
+    assert code == 2
+
+
+@pytest.mark.parametrize("label, warns", [("48a1", True), ("27a3", False), ("256b2", False)])
+def test_sato_tate_warns_only_without_cm(capsys, label, warns):
+    code, out, _ = run(capsys, "sato-tate", "--curve", label, "--X", "2000",
+                       "--format", "json")
+    assert code == 0
+    assert ("warning" in json.loads(out)["result"]) == warns
+
+
 # -- golden radicands ---------------------------------------------------------
 
 

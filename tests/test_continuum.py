@@ -10,6 +10,7 @@ from eulerpencil.continuum import (
     DISPERSIONS,
     TANH,
     BranchCutError,
+    ConvergenceError,
     arcsine_cdf,
     arcsine_closed_form,
     arcsine_pdf,
@@ -100,6 +101,13 @@ def test_L_chi4_oracles():
     assert abs(dirichlet_L_chi4(2.0) - 0.915965594177219) <= 1e-10
     with pytest.raises(NotImplementedError):
         dirichlet_L_chi4(0.0)
+
+
+def test_L_chi4_raises_when_not_converged():
+    # below double precision at L(2) ~ 0.916 only bit-identical estimates meet tol
+    with pytest.raises(ConvergenceError, match="not converged within 640 terms"):
+        dirichlet_L_chi4(2.0, tol=1e-18)
+    assert issubclass(ConvergenceError, ValueError)
 
 
 def test_eta_is_twice_L():

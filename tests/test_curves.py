@@ -1,10 +1,11 @@
 """Oracle and invariant tests for Weierstrass curves and point counting."""
 
 import os
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eulerpencil import curves
@@ -15,6 +16,8 @@ from eulerpencil.curves import (
     ap_count,
     build_ap_table,
     catalogue_entry,
+    cm_discriminant,
+    cm_splits,
     cornacchia_candidates,
     curve_invariants,
     good_primes,
@@ -134,6 +137,109 @@ def test_build_ap_table_matches_single_counts():
     for p, a_p, cls in table.entries:
         assert cls == "good"
         assert a_p == ap_count(curve, p)
+
+
+# -- Shanks-Mestre against the Legendre oracle ---------------------------------
+
+
+def test_shanks_mestre_matches_legendre_on_catalogue():
+    # every catalogue model, every good p <= 10^4; below the cutoff, where
+    # ap_count is the Legendre sweep itself, the fast path from Mestre's
+    # bound p > 229 up
+    for entry in load_catalogue():
+        if entry.model is None:
+            continue
+        curve = entry.curve
+        for p in good_primes(curve, 10_000):
+            expect = curves._ap_legendre(curve, p)
+            assert ap_count(curve, p) == expect, (entry.label, p)
+            if 229 < p <= curves._SHANKS_MESTRE_MIN_P:
+                assert curves._ap_shanks_mestre(curve, p) == expect, (entry.label, p)
+
+
+def test_shanks_mestre_matches_legendre_on_criterion_4_curves():
+    # the seeded random short curves of acceptance criterion 4, p in (229, 3000]
+    rng = random.Random(20260823)
+    primes = [p for p in primes_upto(3000) if p > 229]
+    for _ in range(50):
+        while True:
+            A, B = rng.randint(-20, 20), rng.randint(-20, 20)
+            if 4 * A**3 + 27 * B**2 != 0:
+                break
+        curve = WeierstrassCurve.short(A, B)
+        for p in primes:
+            if is_good_prime(curve, p):
+                expect = curves._ap_legendre(curve, p)
+                assert curves._ap_shanks_mestre(curve, p) == expect, (A, B, p)
+
+
+_PRIMES_1E5 = [p for p in primes_upto(100_000) if p > 3]
+
+
+@given(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.sampled_from(_PRIMES_1E5),
+)
+@settings(max_examples=30, deadline=None)
+def test_ap_count_agrees_with_legendre_random_curves(a4, a6, p):
+    assume(4 * a4**3 + 27 * a6**2 != 0)
+    curve = WeierstrassCurve.short(a4, a6)
+    assume(is_good_prime(curve, p))
+    a_p = ap_count(curve, p)
+    assert a_p == curves._ap_legendre(curve, p)
+    assert hasse_check(a_p, p)
+
+
+def test_ap_count_paths_by_prime(monkeypatch):
+    # y^2 = x^3 - 3x + 1011 has a node mod 1009: 1011 = 2 and x^3 - 3x + 2 = (x-1)^2 (x+2)
+    curve = WeierstrassCurve.short(-3, 1011)
+    assert not is_good_prime(curve, 1009)
+    legendre = curves._ap_legendre(curve, 1009)
+
+    def refuse(*args):
+        raise AssertionError("wrong counting path")
+
+    monkeypatch.setattr(curves, "_ap_shanks_mestre", refuse)
+    assert ap_count(curve, 1009, force=True) == legendre
+    assert ap_count(curve, 997) == curves._ap_legendre(curve, 997)
+    monkeypatch.undo()
+    monkeypatch.setattr(curves, "_ap_legendre", refuse)
+    assert curves._SHANKS_MESTRE_MIN_P < 1019 and is_good_prime(curve, 1019)
+    ap_count(curve, 1019)
+
+
+@pytest.mark.parametrize("p", [997, 1009])
+def test_ap_count_rejects_model_not_integral_at_good_prime(p):
+    # y^2 = (x + u)^3 + (x + u) + 1 with u = 1/p is y^2 = x^3 + x + 1 moved by
+    # x -> x + u: same c4, c6 and discriminant, so p is good, but the model
+    # does not reduce mod p, on either side of the counting cutoff
+    u = Fraction(1, p)
+    curve = WeierstrassCurve.from_model([0, 3 * u, 0, 3 * u * u + 1, u**3 + u + 1])
+    assert is_good_prime(curve, p)
+    with pytest.raises(BadReductionError, match="not p-integral"):
+        ap_count(curve, p)
+
+
+# -- CM discriminants -----------------------------------------------------------
+
+
+def test_cm_discriminant_agrees_with_catalogue():
+    assert len(curves.CM_DISCRIMINANTS) == 13
+    for entry in load_catalogue():
+        if entry.j is not None and entry.j.denominator == 1:
+            assert curves.CM_DISCRIMINANTS.get(int(entry.j)) == entry.cm_discriminant
+        if entry.model is not None:
+            assert cm_discriminant(entry.curve) == entry.cm_discriminant
+
+
+def test_cm_splits_uses_the_field_discriminant():
+    # D = -4: p mod 4; D = -3: p mod 3, p = 2 inert
+    assert [cm_splits(-4, p) for p in (3, 5, 7, 13)] == [False, True, False, True]
+    assert [cm_splits(-3, p) for p in (2, 5, 7, 13)] == [False, False, True, True]
+    # 2 splits in Q(sqrt -7) although it divides the order discriminant -28
+    assert cm_splits(-28, 2) and cm_splits(-7, 2)
+    assert not cm_splits(-12, 2)
 
 
 # -- cornacchia ---------------------------------------------------------------

@@ -8,6 +8,7 @@ import math
 import pytest
 
 from eulerpencil.continuum import arcsine_cdf
+from eulerpencil import curves
 from eulerpencil.curves import catalogue_entry, primes_upto
 from eulerpencil.stats import (
     EPSILON_BOUND_C,
@@ -44,6 +45,26 @@ def test_series_rows_and_classes(series_1e4):
         assert gap <= EPSILON_BOUND_C / math.sqrt(r.p)
         # w_plus is the square of the principal u
         assert abs(r.u * r.u - r.w_plus) <= 1e-12
+
+
+def test_series_d3_classes_from_cm_discriminant():
+    # [DERIVED] 27a3 has CM by Z[zeta_3]: p inert iff p = 2 mod 3, and every
+    # inert good prime (p = 2 included) has a point-counted a_p = 0
+    curve = catalogue_entry("27a3").curve
+    series = delta_p_series(curve, 10_000)
+    assert len(series.rows) == len(primes_upto(10_000)) - 1  # only p = 3 is bad
+    assert series.rows[0].p == 2 and series.rows[0].cls == "inert"
+    for r in series.rows:
+        assert r.cls == ("inert" if r.p % 3 == 2 else "split")
+        assert (r.a_p == 0) == (r.cls == "inert")
+        if r.cls == "inert":
+            assert curves._ap_legendre(curve, r.p) == 0
+
+
+def test_series_non_cm_keeps_mod_4_classes():
+    series = delta_p_series(catalogue_entry("48a1").curve, 1000)
+    for r in series.rows:
+        assert r.cls == ("inert" if r.p % 4 == 3 else "split")
 
 
 def test_series_rejects_tiny_X(series_1e4):
