@@ -13,7 +13,6 @@ from .exactmath import (
     Rational,
     group_pseudoinverse2,
     poly_divrem,
-    pseudoinverse2,
     quad_roots,
     residue_at_zero,
 )

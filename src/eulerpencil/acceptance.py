@@ -71,9 +71,6 @@ ROWS_389A1 = {
     29: (0, -0.3818), 31: (-5, -0.2602),
 }
 
-PENCIL_27A3 = (Fraction(-9), Fraction(-1), Fraction(407, 20))
-PENCIL_389A1 = (Fraction(-31, 20), Fraction(-29, 4), Fraction(-491, 50))
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -103,18 +100,6 @@ def criterion_1_ap_256b2() -> CriterionResult:
                    f"{[p for p in AP_256B2 if got[p] != AP_256B2[p]]}")
 
 
-def _two_squares(p: int) -> tuple[int, int]:
-    """p = a^2 + b^2 with a odd, b even, a + b = 1 mod 4 (p = 1 mod 4)."""
-    for a in range(1, math.isqrt(p) + 1, 2):
-        b_sq = p - a * a
-        b = math.isqrt(b_sq)
-        if b * b == b_sq:
-            if (a + b) % 4 != 1:
-                a = -a
-            return a, b
-    raise ArithmeticError(f"{p} is not a sum of two squares")
-
-
 def criterion_2_duality() -> CriterionResult:
     e1 = curves.catalogue_entry("32a2").curve
     e2 = curves.catalogue_entry("2304b1").curve
@@ -130,7 +115,7 @@ def criterion_2_duality() -> CriterionResult:
         elif p % 4 == 1:
             # split: E1 follows the classical rule a_p = 2a exactly, and the
             # quartic twist keeps E2 inside the Hasse decomposition set
-            a, b = _two_squares(p)
+            a, b = curves.two_squares(p)
             ok = ok and g1 == 2 * a
             ok = ok and abs(g2) in (2 * abs(a), 2 * abs(b))
         if not ok:
@@ -202,8 +187,9 @@ def criterion_4_universal_matching() -> CriterionResult:
                    not failures, f"{n_cases} cases, failures: {failures[:5]}")
 
 
-def _table_criterion(number, name, label, params, rows):
+def _table_criterion(number, name, label, rows):
     curve_entry = curves.catalogue_entry(label)
+    params = curve_entry.pencil_params
     failures = []
     for p, (a_p, u_sq_ref) in rows.items():
         if curve_entry.model is not None:
@@ -227,7 +213,7 @@ def _table_criterion(number, name, label, params, rows):
 
 def criterion_5_cm_d3() -> CriterionResult:
     return _table_criterion(5, "27a3 matching table (pencil -9, -1, 20.35)",
-                            "27a3", PENCIL_27A3, CM_D3_ROWS)
+                            "27a3", CM_D3_ROWS)
 
 
 def criterion_6_389a1() -> CriterionResult:
@@ -244,7 +230,8 @@ def criterion_6_389a1() -> CriterionResult:
     # residuals <= 1e-9 on both branches at all ten primes -- and reports the
     # nearest-root distance to the printed column as a flagged reference
     # erratum.
-    tau, delta, Delta = PENCIL_389A1
+    params = curves.catalogue_entry("389a1").pencil_params
+    tau, delta, Delta = params
     failures = []
     worst_residual = 0.0
     worst_table_dist = 0.0
@@ -254,7 +241,7 @@ def criterion_6_389a1() -> CriterionResult:
     for p, (a_p, u_sq_ref) in ROWS_389A1.items():
         best = None
         for branch in ("plus", "minus"):
-            rep = matching.euler_match_verify(PENCIL_389A1, a_p, p, branch,
+            rep = matching.euler_match_verify(params, a_p, p, branch,
                                               tolerance=1e-9)
             if not rep.passed:
                 failures.append((p, branch, "residuals", rep.residual_tr,

@@ -111,10 +111,10 @@ def _cx(text: str) -> complex:
 
 
 def resolve_curve(args) -> WeierstrassCurve:
-    if getattr(args, "model", None):
+    if args.model:
         return WeierstrassCurve.from_model(_rat_list(args.model))
-    if getattr(args, "curve", None):
-        entry = curves.catalogue_entry(args.curve, getattr(args, "catalogue", None))
+    if args.curve:
+        entry = curves.catalogue_entry(args.curve, args.catalogue)
         if entry.model is None:
             raise ValueError(f"catalogue entry {args.curve} carries no model")
         return entry.curve
@@ -122,10 +122,14 @@ def resolve_curve(args) -> WeierstrassCurve:
 
 
 def resolve_pencil_params(args):
-    if getattr(args, "pencil", None):
+    if args.pencil:
         tau, delta, Delta = _rat_list(args.pencil)
         return tau, delta, Delta
     return matching.CANONICAL_PARAMS
+
+
+def resolve_pencil(args) -> pencil.Pencil2:
+    return pencil.pencil_from_tdd(*resolve_pencil_params(args), _rat(args.E))
 
 
 def _basepoint_payload(bp: matching.Basepoint) -> dict:
@@ -198,8 +202,7 @@ def cmd_curve_j(args):
 
 
 def cmd_pencil(args):
-    tau, delta, Delta = resolve_pencil_params(args)
-    pen = pencil.pencil_from_tdd(tau, delta, Delta, _rat(args.E))
+    pen = resolve_pencil(args)
     return emit(args, "pencil", {
         "E1": pen.E1, "E2": pen.E2, "a": pen.a, "d": pen.d, "b_sq": pen.b_sq,
         "tau": pen.tau, "delta": pen.delta, "Delta": pen.Delta, "mu": pen.mu,
@@ -207,16 +210,14 @@ def cmd_pencil(args):
 
 
 def cmd_spectral_poly(args):
-    tau, delta, Delta = resolve_pencil_params(args)
-    pen = pencil.pencil_from_tdd(tau, delta, Delta, _rat(args.E))
+    pen = resolve_pencil(args)
     poly = pencil.spectral_poly(pen)
     terms = {f"u^{ju} lam^{jl}": c for (ju, jl), c in sorted(poly.terms.items())}
     return emit(args, "spectral-poly", {"terms": terms})
 
 
 def cmd_eta_gram(args):
-    tau, delta, Delta = resolve_pencil_params(args)
-    pen = pencil.pencil_from_tdd(tau, delta, Delta, _rat(args.E))
+    pen = resolve_pencil(args)
     gram = pencil.eta_gram(pen, _rat(args.c))
     entries = [[{f"lam^{k}": v for k, v in entry.items()} for entry in row]
                for row in gram.entries]
@@ -224,15 +225,13 @@ def cmd_eta_gram(args):
 
 
 def cmd_evenness(args):
-    tau, delta, Delta = resolve_pencil_params(args)
-    pen = pencil.pencil_from_tdd(tau, delta, Delta, _rat(args.E))
+    pen = resolve_pencil(args)
     ok = pencil.lambda_evenness_check(pencil.eta_gram(pen, 1))
     return emit(args, "evenness", {"even": ok}, "PASS" if ok else "FAIL")
 
 
 def cmd_pontryagin(args):
-    tau, delta, Delta = resolve_pencil_params(args)
-    pen = pencil.pencil_from_tdd(tau, delta, Delta, _rat(args.E))
+    pen = resolve_pencil(args)
     return emit(args, "pontryagin",
                 {"index": pencil.pontryagin_index(pencil.eta_gram(pen, 1))})
 
@@ -386,9 +385,6 @@ def cmd_eta_feq(args):
 def cmd_delta_series(args):
     curve = resolve_curve(args)
     series = stats.delta_p_series(curve, args.X)
-    if args.format == "csv":
-        sys.stdout.write(series.to_csv())
-        return 0
     rows = [{"p": r.p, "a_p": r.a_p, "w_plus": r.w_plus, "u": r.u,
              "lambda": r.lam, "delta": r.delta, "class": r.cls}
             for r in series.rows]
@@ -429,7 +425,7 @@ def cmd_accumulate(args):
 
 def cmd_catalogue(args):
     rows = []
-    for entry in curves.load_catalogue(getattr(args, "catalogue", None)):
+    for entry in curves.load_catalogue(args.catalogue):
         rows.append({
             "label": entry.label,
             "model": list(entry.model) if entry.model else None,
@@ -465,17 +461,21 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--catalogue", default=None, help="catalogue JSON override")
         return p
+
+    def catalogue_opt(p):
+        p.add_argument("--catalogue", default=None, help="catalogue JSON override")
 
     def curve_opts(p):
         p.add_argument("--curve", help="catalogue label")
         p.add_argument("--model", help="a1,a2,a3,a4,a6")
+        catalogue_opt(p)
 
     def pencil_opts(p):
         p.add_argument("--pencil", help="tau,delta,Delta (decimals parsed exactly)")
-        p.add_argument("--E", default="1")
+
+    def tol_opt(p):
+        p.add_argument("--tol", type=float, default=1e-9)
 
     p = add("ap", cmd_ap, help="Frobenius traces by point counting")
     curve_opts(p)
@@ -502,22 +502,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("curve-j", cmd_curve_j)
     curve_opts(p)
 
+    # the commands that build a Pencil2, and so read --E
     for name, fn in (("pencil", cmd_pencil), ("spectral-poly", cmd_spectral_poly),
-                     ("evenness", cmd_evenness), ("pontryagin", cmd_pontryagin)):
+                     ("evenness", cmd_evenness), ("pontryagin", cmd_pontryagin),
+                     ("eta-gram", cmd_eta_gram)):
         p = add(name, fn)
         pencil_opts(p)
-
-    p = add("eta-gram", cmd_eta_gram)
-    pencil_opts(p)
-    p.add_argument("--c", default="1")
+        p.add_argument("--E", default="1")
+    p.add_argument("--c", default="1")  # eta-gram, the last of the loop
 
     p = add("monomial-gram", cmd_monomial_gram)
     p.add_argument("--eps1", type=int, default=1)
     p.add_argument("--eps2", type=int, default=-1)
 
     p = add("j", cmd_j)
-    p.add_argument("--tau")
-    p.add_argument("--tau-sq", dest="tau_sq")
+    tau = p.add_mutually_exclusive_group(required=True)
+    tau.add_argument("--tau")
+    tau.add_argument("--tau-sq", dest="tau_sq")
     p.add_argument("--delta", required=True)
     p.add_argument("--Delta", required=True)
 
@@ -535,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("match", cmd_match)
     curve_opts(p)
     pencil_opts(p)
+    tol_opt(p)
     p.add_argument("--ap", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--max-p", type=int)
@@ -566,6 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("zco-c", cmd_zco_c)
     p.add_argument("--c", required=True)
     p.add_argument("--u", required=True, help="complex, e.g. 0.3+0.4i")
+    tol_opt(p)
 
     add("golden", cmd_golden)
 
@@ -576,16 +579,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("universality", cmd_universality)
     p.add_argument("--dispersion", choices=tuple(continuum.DISPERSIONS), default="tanh")
     p.add_argument("--z", required=True)
+    tol_opt(p)
 
     p = add("arcsine", cmd_arcsine)
-    p.add_argument("--z")
-    p.add_argument("--t", type=float)
+    point = p.add_mutually_exclusive_group(required=True)
+    point.add_argument("--z")
+    point.add_argument("--t", type=float)
 
-    p = add("chi4-L", cmd_chi4_l)
-    p.add_argument("--s", type=float, required=True)
-
-    p = add("eta-feq", cmd_eta_feq)
-    p.add_argument("--s", type=float, required=True)
+    for name, fn in (("chi4-L", cmd_chi4_l), ("eta-feq", cmd_eta_feq)):
+        p = add(name, fn)
+        p.add_argument("--s", type=float, required=True)
+        tol_opt(p)
 
     for name, fn in (("delta-series", cmd_delta_series), ("sato-tate", cmd_sato_tate)):
         p = add(name, fn)
@@ -601,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve_opts(p)
     p.add_argument("--X-list", dest="X_list", default="1000,10000")
 
-    add("catalogue", cmd_catalogue)
+    catalogue_opt(add("catalogue", cmd_catalogue))
     add("verify-all", cmd_verify_all)
 
     return parser
@@ -615,7 +619,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, KeyError, ZeroDivisionError, NotImplementedError) as exc:
+    except (ValueError, KeyError, ArithmeticError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

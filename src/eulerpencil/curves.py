@@ -35,7 +35,7 @@ class BadReductionError(ValueError):
 
 
 class InertPrimeError(ValueError):
-    """Raised by cornacchia_candidates for p not congruent to 1 mod 4."""
+    """Raised by two_squares and cornacchia_candidates for p != 1 mod 4."""
 
 
 class DegenerateQuarticError(ValueError):
@@ -327,16 +327,27 @@ def hasse_check(a_p: int, p: int) -> bool:
     return a_p * a_p <= 4 * p
 
 
-def cornacchia_candidates(p: int) -> set[int]:
-    """Candidate traces {+-2a, +-2b} with a^2+b^2=p, a odd, b even."""
+def two_squares(p: int) -> tuple[int, int]:
+    """p = a^2 + b^2 with a odd, b even and a + b = 1 mod 4, for p = 1 mod 4.
+
+    At a prime p this (a, b) is unique: the CM-by-Z[i] rule gives
+    a_p(y^2 = x^3 - x) = 2a.  Raises InertPrimeError unless p = 1 mod 4 and
+    ArithmeticError when p has no such decomposition.
+    """
     if p % 4 != 1:
         raise InertPrimeError(f"p={p} is not 1 mod 4")
     for b in range(0, math.isqrt(p) + 1, 2):
         a_sq = p - b * b
         a = math.isqrt(a_sq)
         if a * a == a_sq and a % 2 == 1:
-            return {2 * a, -2 * a, 2 * b, -2 * b}
+            return (a if (a + b) % 4 == 1 else -a), b
     raise ArithmeticError(f"no two-square decomposition found for p={p}")
+
+
+def cornacchia_candidates(p: int) -> set[int]:
+    """Candidate traces {+-2a, +-2b} with a^2+b^2=p, a odd, b even."""
+    a, b = two_squares(p)
+    return {2 * a, -2 * a, 2 * b, -2 * b}
 
 
 #: The 13 rational j-invariants with complex multiplication, each mapped to
@@ -395,9 +406,7 @@ def quartic_to_weierstrass(a, b, c, d, e) -> tuple[Rational, Rational, Rational]
     Coefficients are plain (unweighted).  Returns (A, B, j) with the
     Jacobian in the form Y^2 = X^3 + A X + B, A = -27 I, B = -27 J.
     """
-    a, b, c, d, e = (_as_fraction(v) for v in (a, b, c, d, e))
-    big_i = 12 * a * e - 3 * b * d + c * c
-    big_j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c**3
+    big_i, big_j = quartic_invariants(a, b, c, d, e)
     A, B = -27 * big_i, -27 * big_j
     try:
         j = curve_invariants(WeierstrassCurve.short(A, B)).j

@@ -8,13 +8,10 @@ construction.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-import numpy as np
 
 #: The exact rational scalar type.  ``fractions.Fraction`` already satisfies
 #: every invariant required here (lowest terms, positive denominator,
@@ -22,9 +19,6 @@ import numpy as np
 Rational = Fraction
 
 Scalar = Union[int, Fraction]
-
-#: Default numeric-tier tolerance.
-DEFAULT_TOL = 1e-10
 
 
 class DegenerateQuadraticError(ValueError):
@@ -536,20 +530,6 @@ class Matrix2:
             self.e22 - other.e22,
         )
 
-    def to_numpy(self) -> np.ndarray:
-        return np.array(
-            [
-                [complex(self.e11), complex(self.e12)],
-                [complex(self.e21), complex(self.e22)],
-            ]
-        )
-
-
-def pseudoinverse2(m: Matrix2) -> Matrix2:
-    """Moore-Penrose pseudoinverse of a complex 2x2 matrix."""
-    p = np.linalg.pinv(m.to_numpy())
-    return Matrix2(complex(p[0, 0]), complex(p[0, 1]), complex(p[1, 0]), complex(p[1, 1]))
-
 
 def group_pseudoinverse2(m: Matrix2, tol: float = 1e-10) -> Matrix2:
     """Group (spectral) inverse of a rank-1 2x2 matrix: m / tr(m)^2.
@@ -565,8 +545,3 @@ def group_pseudoinverse2(m: Matrix2, tol: float = 1e-10) -> Matrix2:
     if tr == 0:
         raise ZeroDivisionError("nilpotent rank-1 matrix has no group inverse")
     return m.scale(1 / (tr * tr))
-
-
-def principal_sqrt(z) -> complex:
-    """Principal-branch complex square root (cut on the negative real axis)."""
-    return cmath.sqrt(complex(z))

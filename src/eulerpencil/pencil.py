@@ -150,6 +150,13 @@ def resolvent_tr_det(pencil: Pencil2, u, lam, tol: float = 1e-12):
     return u * (2 * u**3 - tau * lam) / P, u * u / P
 
 
+def _adjugate_diagonal(pencil: Pencil2) -> tuple[LaurentBiPoly, LaurentBiPoly]:
+    """The diagonal cofactors f1 = u^2 - E2 - d lambda/u, f2 = u^2 - E1 - a lambda/u."""
+    f1 = LaurentBiPoly({(2, 0): 1, (0, 0): -pencil.E2, (-1, 1): -pencil.d})
+    f2 = LaurentBiPoly({(2, 0): 1, (0, 0): -pencil.E1, (-1, 1): -pencil.a})
+    return f1, f2
+
+
 def adjugate_columns(pencil: Pencil2, b: Optional[Rational] = None):
     """Columns (phi1, phi2) of adj A(u; lambda), each a LaurentBiPoly pair.
 
@@ -161,8 +168,7 @@ def adjugate_columns(pencil: Pencil2, b: Optional[Rational] = None):
     if b is None:
         b = pencil.b_exact()
     b = _as_fraction(b)
-    f1 = LaurentBiPoly({(2, 0): 1, (0, 0): -pencil.E2, (-1, 1): -pencil.d})
-    f2 = LaurentBiPoly({(2, 0): 1, (0, 0): -pencil.E1, (-1, 1): -pencil.a})
+    f1, f2 = _adjugate_diagonal(pencil)
     off = LaurentBiPoly.term(b, -1, 1)
     phi1 = (f1, -off)
     phi2 = (off, f2)
@@ -193,8 +199,7 @@ def eta_gram(pencil: Pencil2, c=1) -> EtaGram:
     exact because they are zero.
     """
     c = _as_fraction(c)
-    f1 = LaurentBiPoly({(2, 0): 1, (0, 0): -pencil.E2, (-1, 1): -pencil.d})
-    f2 = LaurentBiPoly({(2, 0): 1, (0, 0): -pencil.E1, (-1, 1): -pencil.a})
+    f1, f2 = _adjugate_diagonal(pencil)
     uinv = LaurentBiPoly.term(1, -1)
     lam_uinv = LaurentBiPoly.term(1, -1, 1)
     bsq_l2_u2 = LaurentBiPoly.term(pencil.b_sq, -2, 2)

@@ -1,10 +1,19 @@
 """Command-line interface tests: determinism, formats, exit codes."""
 
+import argparse
+import io
 import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eulerpencil import cli
 from eulerpencil.cli import main
+from eulerpencil.curves import ENV_CATALOGUE
 
 
 def run(capsys, *argv):
@@ -158,3 +167,147 @@ def test_verify_all_passes(capsys):
     code, out, _ = run(capsys, "verify-all")
     assert code == 0
     assert "FAIL" not in out
+
+
+# -- flags only where they are read -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("golden", "--tol", "1e-3"),
+        ("match", "--ap", "2", "--p", "13", "--E", "2"),
+        ("zco", "--catalogue", "x.json"),
+        ("arcsine",),
+        ("arcsine", "--z", "2", "--t", "0.5"),
+        ("j", "--delta", "0", "--Delta", "2"),
+        ("j", "--tau", "2", "--tau-sq", "4", "--delta", "0", "--Delta", "2"),
+    ],
+)
+def test_exit_two_on_unread_or_missing_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert "usage:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chi4-L", "--s", "2", "--tol", "1e-6"),
+        ("universality", "--z", "2.0", "--tol", "1e-8"),
+        ("j", "--tau-sq", "4", "--delta", "0", "--Delta", "2"),
+        ("arcsine", "--t", "0.5"),
+    ],
+)
+def test_flags_that_are_read_still_work(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["status"] == "INFO"
+
+
+def test_catalogue_override_path(capsys, tmp_path):
+    copy = tmp_path / "catalogue.json"
+    copy.write_text(resources.files("eulerpencil.data").joinpath("catalogue.json").read_text())
+    _, expect, _ = run(capsys, "ap", "--curve", "256b2", "--max-p", "50")
+    code, out, _ = run(capsys, "ap", "--curve", "256b2", "--max-p", "50",
+                       "--catalogue", str(copy))
+    assert code == 0 and out == expect
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalogue", "--catalogue", "/nonexistent.json"),
+        ("ap", "--curve", "256b2", "--max-p", "10", "--catalogue", "/nonexistent.json"),
+    ],
+)
+def test_exit_two_on_missing_catalogue(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert "error:" in err and "nonexistent.json" in err and "Traceback" not in err
+
+
+# -- fuzz: the exit-code contract over every subcommand -----------------------
+
+
+PARSER = cli.build_parser()
+SUBCOMMANDS = {
+    name: [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+    for action in PARSER._actions if isinstance(action, argparse._SubParsersAction)
+    for name, p in action.choices.items()
+}
+
+# Options whose value sets the amount of work (primes, sweep length, scan
+# size) draw only small values, so that every call stays within milliseconds.
+_SIZED = {"--X", "--max-p", "--p", "--K", "--X-list"}
+
+_small_ints = st.integers(-20, 300).map(str)
+_malformed = st.sampled_from(["", "abc", "1/0", "nan", "inf", "-inf", "1e400", "-",
+                              "0.3+0.4i", "2i", ",", "1,,2", "--", "/nonexistent.json"])
+_scalars = st.one_of(
+    _small_ints,
+    st.fractions(max_denominator=20).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    _malformed,
+)
+_lists = st.lists(st.one_of(_small_ints, st.sampled_from(["1/2", "-9", "20.35", "0", "x"])),
+                  min_size=0, max_size=6).map(",".join)
+
+
+def _value(action):
+    if action.choices is not None:
+        return st.one_of(st.sampled_from(list(action.choices)), _malformed)
+    if action.option_strings[0] in _SIZED:
+        return st.one_of(_small_ints, _lists, _malformed)
+    return st.one_of(_scalars, _lists)
+
+
+@st.composite
+def _argv(draw, name):
+    argv = [name]
+    for action in SUBCOMMANDS[name]:
+        if not draw(st.booleans()):  # missing, even when required
+            continue
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            argv.append(draw(_value(action)))
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "--tol", "--E", "--catalogue"])))
+    return argv
+
+
+def _assert_contract(argv):
+    # an exception escaping main fails the test and names the argv
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+@pytest.fixture
+def fuzz_env(monkeypatch):
+    monkeypatch.delenv(ENV_CATALOGUE, raising=False)
+    # one parser for every call: building it takes most of a failing call
+    monkeypatch.setattr(cli, "build_parser", lambda: PARSER)
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_fuzz_subcommand(name, fuzz_env):
+    # verify-all takes only --format and runs for ~1 s per call
+    @settings(max_examples=3 if name == "verify-all" else 20, deadline=None, database=None)
+    @given(_argv(name))
+    def check(argv):
+        _assert_contract(argv)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_required_options_only(name, fuzz_env):
+    # each required option given a plain value, every optional one left out
+    argv = [name]
+    for action in SUBCOMMANDS[name]:
+        if action.required:
+            argv += [action.option_strings[0], "1"]
+    _assert_contract(argv)

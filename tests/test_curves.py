@@ -1,5 +1,6 @@
 """Oracle and invariant tests for Weierstrass curves and point counting."""
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from eulerpencil.curves import (
     load_catalogue,
     primes_upto,
     quartic_to_weierstrass,
+    two_squares,
 )
 
 
@@ -270,6 +272,27 @@ def test_cornacchia_candidates_square_decompose(p):
         assert any(s * s == other for s in (r - 1, r, r + 1))
 
 
+def test_two_squares_against_naive_search_and_cornacchia():
+    # every prime p = 1 mod 4 up to 10^4
+    split = [p for p in primes_upto(10**4) if p % 4 == 1]
+    assert len(split) == 609
+    for p in split:
+        a, b = two_squares(p)
+        naive = [(x, y) for x in range(1, math.isqrt(p) + 1, 2)
+                 for y in range(0, math.isqrt(p) + 1, 2) if x * x + y * y == p]
+        assert len(naive) == 1, p
+        x, y = naive[0]
+        assert (abs(a), b) == (x, y) and (a + b) % 4 == 1, p
+        assert cornacchia_candidates(p) == {2 * x, -2 * x, 2 * y, -2 * y}, p
+
+
+def test_two_squares_errors():
+    with pytest.raises(curves.InertPrimeError):
+        two_squares(11)
+    with pytest.raises(ArithmeticError):
+        two_squares(21)  # 21 = 1 mod 4, but 3 | 21 to an odd power
+
+
 # -- quartic reduction and Legendre j ----------------------------------------
 
 
@@ -323,6 +346,13 @@ def test_catalogue_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(curves.ENV_CATALOGUE, str(path))
     entry = catalogue_entry("t1")
     assert entry.j == 1728
+
+
+def test_catalogue_pencils_of_criteria_5_and_6_golden():
+    # the frozen pencils that acceptance criteria 5 and 6 read from here
+    assert catalogue_entry("27a3").pencil_params == (-9, -1, Fraction(407, 20))
+    assert catalogue_entry("389a1").pencil_params == (
+        Fraction(-31, 20), Fraction(-29, 4), Fraction(-491, 50))
 
 
 def test_catalogue_unknown_label():
