@@ -59,14 +59,15 @@ def emit(args, command: str, payload: dict, status: str = "INFO", tol=None) -> i
 def _emit_csv(result):
     import csv as _csv
     writer = _csv.writer(sys.stdout)
-    if isinstance(result, dict) and "rows" in result and isinstance(result["rows"], list):
+    if isinstance(result, dict) and isinstance(result.get("rows"), list):
+        # a table, even an empty one: its header comes from the first row
         rows = result["rows"]
-        if rows and isinstance(rows[0], dict):
+        if rows:
             header = list(rows[0])
             writer.writerow(header)
             for r in rows:
                 writer.writerow([r[h] for h in header])
-            return
+        return
     if isinstance(result, dict):
         writer.writerow(list(result))
         writer.writerow([json.dumps(v) if isinstance(v, (dict, list)) else v

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
-
-from scipy.integrate import quad
 
 
 class BranchCutError(ValueError):
@@ -64,6 +63,8 @@ class QuadratureResult:
 
 def _check_off_cut(z: complex) -> complex:
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise BranchCutError(f"z = {z} is not finite")
     if z.real <= 0:
         raise BranchCutError(f"Re(z) = {z.real} <= 0 outside the validity domain")
     if z.imag == 0 and -1.0 <= z.real <= 1.0:
@@ -77,8 +78,14 @@ def universality_integral(
     """Adaptive quadrature of int_0^inf w(xi) a(xi) / (z^2 - a(xi)^2) dxi
 
     with the arcsine weight w = a' / (pi sqrt(1 - a^2)).  Independent of the
-    dispersion; converges to arcsin(1/z)/(pi sqrt(z^2 - 1)).
+    dispersion; converges to arcsin(1/z)/(pi sqrt(z^2 - 1)).  Raises
+    ArithmeticError when the error estimate is not within tol; scipy's
+    IntegrationWarning goes into that message and never to stderr.
     """
+    # scipy is imported here, not at module level: this is its only use, and
+    # it would otherwise dominate the start-up of every CLI process.
+    from scipy.integrate import IntegrationWarning, quad
+
     z = _check_off_cut(z)
     z_sq = z * z
     count = [0]
@@ -92,16 +99,21 @@ def universality_integral(
         w = dispersion.a_prime(xi) / (math.pi * math.sqrt(oma))
         return w * a / (z_sq - a * a)
 
-    re, re_err = quad(lambda x: integrand(x).real, 0.0, math.inf,
-                      epsabs=tol / 2, epsrel=tol / 2, limit=400)
-    if z.imag == 0:
-        im, im_err = 0.0, 0.0
-    else:
-        im, im_err = quad(lambda x: integrand(x).imag, 0.0, math.inf,
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        re, re_err = quad(lambda x: integrand(x).real, 0.0, math.inf,
                           epsabs=tol / 2, epsrel=tol / 2, limit=400)
+        if z.imag == 0:
+            im, im_err = 0.0, 0.0
+        else:
+            im, im_err = quad(lambda x: integrand(x).imag, 0.0, math.inf,
+                              epsabs=tol / 2, epsrel=tol / 2, limit=400)
     err = re_err + im_err
-    if err > tol:
-        raise ArithmeticError(f"quadrature error estimate {err:.3e} exceeds tol {tol:.3e}")
+    if not err <= tol:  # a NaN estimate fails too
+        msg = f"quadrature error estimate {err:.3e} exceeds tol {tol:.3e}"
+        if caught:
+            msg += " (scipy: " + " ".join(str(caught[0].message).split()) + ")"
+        raise ArithmeticError(msg)
     return QuadratureResult(value=complex(re, im), estimated_error=err, evaluations=count[0])
 
 

@@ -21,8 +21,6 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, NamedTuple, Optional
 
-import numpy as np
-
 from .exactmath import Rational, _as_fraction
 
 
@@ -177,6 +175,8 @@ def _ap_legendre(curve: WeierstrassCurve, p: int) -> int:
                 if lhs == rhs:
                     count += 1
         return p + 1 - count
+    import numpy as np  # imported here so that importing eulerpencil stays cheap
+
     x = np.arange(p, dtype=np.int64)
     cubic = (x * x % p * x + a2 * x * x + a4 * x + a6) % p
     g = (4 * cubic + (a1 * x + a3) ** 2) % p

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .exactmath import (
     LaurentBiPoly,
     Matrix2,
@@ -306,6 +304,8 @@ def monomial_gram8(eps1: int, eps2: int):
     """
     if eps1 not in (1, -1) or eps2 not in (1, -1):
         raise ValueError("eps1, eps2 must be +-1")
+    import numpy as np  # imported here so that importing eulerpencil stays cheap
+
     G = [[Fraction(0)] * 8 for _ in range(8)]
     for i, eps in ((0, eps1), (1, eps2)):
         G[i][4 + i] = Fraction(-2 * eps)

@@ -3,14 +3,19 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eulerpencil
 from eulerpencil import cli
 from eulerpencil.cli import main
 from eulerpencil.curves import ENV_CATALOGUE
@@ -108,6 +113,26 @@ def test_exit_two_on_unconverged_series(capsys):
     code, out, err = run(capsys, "chi4-L", "--s", "2", "--tol", "1e-18")
     assert code == 2 and not out
     assert "error:" in err and "not converged" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("z", ["nan", "inf+1j"])
+def test_exit_two_on_non_finite_z(capsys, z):
+    code, out, err = run(capsys, "universality", "--z", z, "--format", "json")
+    assert code == 2 and not out
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("delta-series", "--model", "0,0,0,-300,-285", "--X", "10"),
+        ("ap", "--curve", "256b2", "--max-p", "1"),
+        ("match", "--curve", "256b2", "--max-p", "2"),
+    ],
+)
+def test_empty_csv_table_prints_nothing(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and out == ""
 
 
 def test_threads_flag_removed(capsys):
@@ -224,6 +249,46 @@ def test_exit_two_on_missing_catalogue(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert "error:" in err and "nonexistent.json" in err and "Traceback" not in err
+
+
+# -- cold processes: what a fresh interpreter loads and prints ----------------
+
+
+def _cold(*args):
+    """Run a fresh interpreter on this checkout's package."""
+    src = str(Path(eulerpencil.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_package_import_loads_neither_scipy_nor_numpy():
+    proc = _cold("-c", "import sys, eulerpencil, eulerpencil.cli; "
+                       "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("universality", "--z", "2", "--format", "json"),  # loads scipy
+        ("ap", "--curve", "256b2", "--max-p", "50", "--format", "json"),  # loads numpy
+    ],
+)
+def test_cold_process_matches_in_process(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    proc = _cold("-m", "eulerpencil.cli", *argv)
+    assert code == 0 and not err
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_quadrature_failure_is_one_error_line():
+    # scipy's IntegrationWarning goes into the error message, not onto stderr
+    proc = _cold("-m", "eulerpencil.cli", "universality", "--z", "2", "--tol", "1e-300")
+    assert proc.returncode == 2 and not proc.stdout
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
 
 
 # -- fuzz: the exit-code contract over every subcommand -----------------------

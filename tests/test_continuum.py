@@ -45,7 +45,8 @@ def test_universality_two_dispersions_agree():
         assert abs(v1 - v2) <= 1e-8 * max(1.0, abs(v1))
 
 
-@pytest.mark.parametrize("z", [0.5, 1.0, -2.0, 0.3 + 0.0j, -1.0 + 1.0j])
+@pytest.mark.parametrize("z", [0.5, 1.0, -2.0, 0.3 + 0.0j, -1.0 + 1.0j,
+                               complex(math.nan), complex(math.inf, 1.0)])
 def test_branch_cut_rejected(z):
     with pytest.raises(BranchCutError):
         universality_integral(TANH, z)
