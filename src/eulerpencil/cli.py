@@ -8,7 +8,9 @@ PASS/INFO, 1 for FAIL, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -58,23 +60,20 @@ def emit(args, command: str, payload: dict, status: str = "INFO", tol=None) -> i
 
 def _emit_csv(result):
     import csv as _csv
-    writer = _csv.writer(sys.stdout)
     if isinstance(result, dict) and isinstance(result.get("rows"), list):
         # a table, even an empty one: its header comes from the first row
-        rows = result["rows"]
-        if rows:
-            header = list(rows[0])
-            writer.writerow(header)
-            for r in rows:
-                writer.writerow([r[h] for h in header])
+        if result["rows"]:
+            table = _csv.DictWriter(sys.stdout, fieldnames=list(result["rows"][0]))
+            table.writeheader()
+            table.writerows(result["rows"])
         return
+    writer = _csv.writer(sys.stdout)
     if isinstance(result, dict):
         writer.writerow(list(result))
         writer.writerow([json.dumps(v) if isinstance(v, (dict, list)) else v
                          for v in result.values()])
     else:
-        for v in result if isinstance(result, list) else [result]:
-            writer.writerow([v])
+        writer.writerows([v] for v in (result if isinstance(result, list) else [result]))
 
 
 def _emit_table(command, status, result, indent=0):
@@ -99,16 +98,16 @@ def _emit_table(command, status, result, indent=0):
         print(f"{pad}  {result}")
 
 
-def _rat(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _rat_list(text: str) -> list[Fraction]:
     return [Fraction(part) for part in text.split(",")]
 
 
 def _cx(text: str) -> complex:
-    return complex(text.replace("i", "j"))
+    """A finite complex number; a trailing ``i`` is read as ``j`` (0.3+0.4i)."""
+    z = complex(text[:-1] + "j" if text.endswith("i") else text)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{text} is not a finite complex number")
+    return z
 
 
 def resolve_curve(args) -> WeierstrassCurve:
@@ -130,7 +129,7 @@ def resolve_pencil_params(args):
 
 
 def resolve_pencil(args) -> pencil.Pencil2:
-    return pencil.pencil_from_tdd(*resolve_pencil_params(args), _rat(args.E))
+    return pencil.pencil_from_tdd(*resolve_pencil_params(args), Fraction(args.E))
 
 
 def _basepoint_payload(bp: matching.Basepoint) -> dict:
@@ -159,239 +158,284 @@ def _match_payload(rep: matching.MatchReport) -> dict:
     }
 
 
-# -- command implementations -------------------------------------------------
+# -- the registry: each subcommand is one function next to its options -------
+
+COMMANDS: dict = {}  # name -> (fn, options, add_parser kwargs), in parser order
 
 
+def command(name: str, *options, **parser_kwargs):
+    """Register ``fn(args)`` as subcommand ``name``, its ``options`` after --format.
+
+    ``fn`` returns its payload (status INFO) or ``(payload, ok)`` (PASS or FAIL).
+    """
+    def register(fn):
+        COMMANDS[name] = (fn, options, parser_kwargs)
+        return fn
+    return register
+
+
+def opt(*flags, **kwargs):
+    """One option, added to a subcommand's parser (or group) by ``build_parser``."""
+    return lambda parser: parser.add_argument(*flags, **kwargs)
+
+
+def one_of(*options):
+    """A required choice of exactly one of ``options``."""
+    def add(parser):
+        group = parser.add_mutually_exclusive_group(required=True)
+        for option in options:
+            option(group)
+    return add
+
+
+CATALOGUE = opt("--catalogue", default=None, help="catalogue JSON override")
+CURVE = (opt("--curve", help="catalogue label"), opt("--model", help="a1,a2,a3,a4,a6"),
+         CATALOGUE)
+PENCIL = opt("--pencil", help="tau,delta,Delta (decimals parsed exactly)")
+E = opt("--E", default="1")
+TOL = opt("--tol", type=float, default=1e-9)
+AP = opt("--ap", type=int, required=True)
+P = opt("--p", type=int, required=True)
+BRANCH = opt("--branch", choices=("plus", "minus"), default="plus")
+X = opt("--X", type=int, default=10**4)
+DELTAS = (opt("--delta", required=True), opt("--Delta", required=True))
+
+
+@command("ap", *CURVE, opt("--max-p", type=int, required=True),
+         opt("--include-bad", action="store_true"), help="Frobenius traces by point counting")
 def cmd_ap(args):
-    curve = resolve_curve(args)
-    table = curves.build_ap_table(curve, args.max_p, include_bad=args.include_bad)
+    table = curves.build_ap_table(resolve_curve(args), args.max_p, include_bad=args.include_bad)
     rows = [{"p": p, "a_p": a, "class": cls} for p, a, cls in table.entries]
-    return emit(args, "ap", {"curve": table.label, "rows": rows})
+    return {"curve": table.label, "rows": rows}
 
 
+@command("good-primes", *CURVE, opt("--max-p", type=int, required=True))
 def cmd_good_primes(args):
-    curve = resolve_curve(args)
-    return emit(args, "good-primes", {"primes": curves.good_primes(curve, args.max_p)})
+    return {"primes": curves.good_primes(resolve_curve(args), args.max_p)}
 
 
+@command("hasse", AP, P)
 def cmd_hasse(args):
     ok = curves.hasse_check(args.ap, args.p)
-    return emit(args, "hasse", {"a_p": args.ap, "p": args.p, "ok": ok},
-                "PASS" if ok else "FAIL")
+    return {"a_p": args.ap, "p": args.p, "ok": ok}, ok
 
 
+@command("cornacchia", P)
 def cmd_cornacchia(args):
-    cands = sorted(curves.cornacchia_candidates(args.p))
-    return emit(args, "cornacchia", {"p": args.p, "candidates": cands})
+    return {"p": args.p, "candidates": sorted(curves.cornacchia_candidates(args.p))}
 
 
+@command("quartic", opt("--coeffs", required=True, help="a,b,c,d,e"),
+         help="plain-coefficient quartic to Weierstrass")
 def cmd_quartic(args):
     a, b, c, d, e = _rat_list(args.coeffs)
     big_i, big_j = curves.quartic_invariants(a, b, c, d, e)
     A, B, j = curves.quartic_to_weierstrass(a, b, c, d, e)
-    return emit(args, "quartic", {"I": big_i, "J": big_j, "A": A, "B": B, "j": j})
+    return {"I": big_i, "J": big_j, "A": A, "B": B, "j": j}
 
 
+@command("legendre-j", opt("--lambda-cr", required=True))
 def cmd_legendre_j(args):
-    return emit(args, "legendre-j", {"j": curves.legendre_j(_rat(args.lambda_cr))})
+    return {"j": curves.legendre_j(Fraction(args.lambda_cr))}
 
 
+@command("curve-j", *CURVE)
 def cmd_curve_j(args):
-    curve = resolve_curve(args)
-    inv = curves.curve_invariants(curve)
-    return emit(args, "curve-j", {"j": inv.j, "disc": inv.disc, "c4": inv.c4, "c6": inv.c6})
+    inv = curves.curve_invariants(resolve_curve(args))
+    return {"j": inv.j, "disc": inv.disc, "c4": inv.c4, "c6": inv.c6}
 
 
+@command("pencil", PENCIL, E)
 def cmd_pencil(args):
     pen = resolve_pencil(args)
-    return emit(args, "pencil", {
-        "E1": pen.E1, "E2": pen.E2, "a": pen.a, "d": pen.d, "b_sq": pen.b_sq,
-        "tau": pen.tau, "delta": pen.delta, "Delta": pen.Delta, "mu": pen.mu,
-    })
+    fields = ("E1", "E2", "a", "d", "b_sq", "tau", "delta", "Delta", "mu")
+    return {name: getattr(pen, name) for name in fields}
 
 
+@command("spectral-poly", PENCIL, E)
 def cmd_spectral_poly(args):
-    pen = resolve_pencil(args)
-    poly = pencil.spectral_poly(pen)
-    terms = {f"u^{ju} lam^{jl}": c for (ju, jl), c in sorted(poly.terms.items())}
-    return emit(args, "spectral-poly", {"terms": terms})
+    poly = pencil.spectral_poly(resolve_pencil(args))
+    return {"terms": {f"u^{ju} lam^{jl}": c for (ju, jl), c in sorted(poly.terms.items())}}
 
 
+@command("evenness", PENCIL, E)
+def cmd_evenness(args):
+    ok = pencil.lambda_evenness_check(pencil.eta_gram(resolve_pencil(args), 1))
+    return {"even": ok}, ok
+
+
+@command("pontryagin", PENCIL, E)
+def cmd_pontryagin(args):
+    return {"index": pencil.pontryagin_index(pencil.eta_gram(resolve_pencil(args), 1))}
+
+
+@command("eta-gram", PENCIL, E, opt("--c", default="1"))
 def cmd_eta_gram(args):
-    pen = resolve_pencil(args)
-    gram = pencil.eta_gram(pen, _rat(args.c))
+    gram = pencil.eta_gram(resolve_pencil(args), Fraction(args.c))
     entries = [[{f"lam^{k}": v for k, v in entry.items()} for entry in row]
                for row in gram.entries]
-    return emit(args, "eta-gram", {"entries": entries, "c": gram.c})
+    return {"entries": entries, "c": gram.c}
 
 
-def cmd_evenness(args):
-    pen = resolve_pencil(args)
-    ok = pencil.lambda_evenness_check(pencil.eta_gram(pen, 1))
-    return emit(args, "evenness", {"even": ok}, "PASS" if ok else "FAIL")
-
-
-def cmd_pontryagin(args):
-    pen = resolve_pencil(args)
-    return emit(args, "pontryagin",
-                {"index": pencil.pontryagin_index(pencil.eta_gram(pen, 1))})
-
-
+@command("monomial-gram", opt("--eps1", type=int, default=1), opt("--eps2", type=int, default=-1))
 def cmd_monomial_gram(args):
     matrix, rank, eigs = pencil.monomial_gram8(args.eps1, args.eps2)
-    return emit(args, "monomial-gram", {
+    return {
         "rank": rank, "reduced_eigenvalues": eigs,
         "matrix": [[str(v) for v in row] for row in matrix],
-    })
+    }
 
 
+@command("j", one_of(opt("--tau"), opt("--tau-sq")), *DELTAS)
 def cmd_j(args):
     if args.tau_sq is not None:
-        j = pencil.j_formula_tausq(_rat(args.tau_sq), _rat(args.delta), _rat(args.Delta))
-    else:
-        j = pencil.j_formula(_rat(args.tau), _rat(args.delta), _rat(args.Delta))
-    return emit(args, "j", {"j": j})
+        return {"j": pencil.j_formula_tausq(*map(Fraction, (args.tau_sq, args.delta, args.Delta)))}
+    return {"j": pencil.j_formula(*map(Fraction, (args.tau, args.delta, args.Delta)))}
 
 
+@command("j1728-q", opt("--tau-sq", required=True), *DELTAS)
 def cmd_j1728_q(args):
-    q = pencil.j1728_locus_Q(_rat(args.tau_sq), _rat(args.delta), _rat(args.Delta))
-    return emit(args, "j1728-q", {"Q": q, "on_locus": q == 0})
+    q = pencil.j1728_locus_Q(*map(Fraction, (args.tau_sq, args.delta, args.Delta)))
+    return {"Q": q, "on_locus": q == 0}
 
 
+@command("basepoint", opt("--pencil"), AP, P, BRANCH)
 def cmd_basepoint(args):
     if args.pencil:
-        tau, delta, Delta = _rat_list(args.pencil)
-        bp = matching.basepoint_solve(tau, delta, Delta, args.ap, args.p, args.branch)
+        bp = matching.basepoint_solve(*resolve_pencil_params(args), args.ap, args.p,
+                                      args.branch)
     else:
         bp = matching.canonical_basepoint(args.ap, args.p, args.branch)
-    return emit(args, "basepoint", _basepoint_payload(bp))
+    return _basepoint_payload(bp)
 
 
+@command("match", *CURVE, PENCIL, TOL, opt("--ap", type=int), opt("--p", type=int),
+         opt("--max-p", type=int), BRANCH)
 def cmd_match(args):
     params = resolve_pencil_params(args)
     if args.p is not None:
-        a_p = args.ap
-        if a_p is None:
-            a_p = curves.ap_count(resolve_curve(args), args.p)
+        a_p = args.ap if args.ap is not None else curves.ap_count(resolve_curve(args), args.p)
         rep = matching.euler_match_verify(params, a_p, args.p, args.branch, args.tol)
-        return emit(args, "match", _match_payload(rep), rep.status, args.tol)
+        return _match_payload(rep), rep.passed
     if args.max_p is None:
         raise ValueError("need --p or --max-p")
     curve = resolve_curve(args)
-    rows, status = [], "PASS"
-    for p in curves.good_primes(curve, args.max_p):
-        a_p = curves.ap_count(curve, p)
-        rep = matching.euler_match_verify(params, a_p, p, args.branch, args.tol)
-        if not rep.passed:
-            status = "FAIL"
-        rows.append(_match_payload(rep))
-    return emit(args, "match", {"rows": rows}, status, args.tol)
+    reps = [matching.euler_match_verify(params, curves.ap_count(curve, p), p,
+                                        args.branch, args.tol)
+            for p in curves.good_primes(curve, args.max_p)]
+    return {"rows": [_match_payload(rep) for rep in reps]}, all(rep.passed for rep in reps)
 
 
+@command("reduce-check", PENCIL, AP, P)
 def cmd_reduce_check(args):
-    tau, delta, Delta = resolve_pencil_params(args)
-    ok = matching.symbolic_reduction_check(tau, delta, Delta, args.ap, args.p)
-    return emit(args, "reduce-check", {"exact": ok}, "PASS" if ok else "FAIL")
+    ok = matching.symbolic_reduction_check(*resolve_pencil_params(args), args.ap, args.p)
+    return {"exact": ok}, ok
 
 
+@command("disc-identity", AP, P)
 def cmd_disc_identity(args):
     d, dd, total = matching.discriminant_identity(args.ap, args.p)
-    ok = total == 4 * args.p * args.p
-    return emit(args, "disc-identity",
-                {"Delta_p": d, "D_p": dd, "sum": total, "4p^2": 4 * args.p**2},
-                "PASS" if ok else "FAIL")
+    target = 4 * args.p**2
+    return {"Delta_p": d, "D_p": dd, "sum": total, "4p^2": target}, total == target
 
 
+@command("d-off", opt("--w", required=True), P)
 def cmd_d_off(args):
-    return emit(args, "d-off", {"d_off": matching.offshell_distance(_rat(args.w), args.p)})
+    return {"d_off": matching.offshell_distance(Fraction(args.w), args.p)}
 
 
+@command("cd-ratio", AP, P)
 def cmd_cd_ratio(args):
     r, disc = matching.cd_matching_ratio(args.ap, args.p)
-    return emit(args, "cd-ratio", {"R_A": r, "Delta_CD": disc})
+    return {"R_A": r, "Delta_CD": disc}
 
 
+@command("tco", opt("--ap", type=int), P)
 def cmd_tco(args):
     a_p = args.ap
     if a_p is None:
-        curve = curves.catalogue_entry("48a1").curve
-        a_p = curves.ap_count(curve, args.p)
+        a_p = curves.ap_count(curves.catalogue_entry("48a1").curve, args.p)
     y, lam_sq, ok = matching.tco_basepoint(a_p, args.p)
-    return emit(args, "tco", {"a_p": a_p, "Y": y, "lambda_sq": lam_sq, "hasse_ok": ok},
-                "PASS" if ok else "FAIL")
+    return {"a_p": a_p, "Y": y, "lambda_sq": lam_sq, "hasse_ok": ok}, ok
 
 
+@command("zco")
 def cmd_zco(args):
     u, lam = matching.zco_basepoint()
     m = matching.zco_matrix(u, lam)
-    aplus = exactmath.group_pseudoinverse2(m)
-    return emit(args, "zco", {
+    return {
         "u": u, "lambda": lam, "det": m.det(), "trace": m.trace(),
-        "pinv_trace": aplus.trace(),
+        "pinv_trace": exactmath.group_pseudoinverse2(m).trace(),
         "euler_factor_at_half": matching.zco_euler_factor(0.5),
-    })
+    }
 
 
+@command("zco-c", opt("--c", required=True),
+         opt("--u", required=True, help="complex, e.g. 0.3+0.4i"), TOL)
 def cmd_zco_c(args):
-    ok = matching.zco_c_trace_invariance(_rat(args.c), _cx(args.u), args.tol)
-    return emit(args, "zco-c", {"c": _rat(args.c), "u": _cx(args.u), "invariant": ok},
-                "PASS" if ok else "FAIL", args.tol)
+    c, u = Fraction(args.c), _cx(args.u)
+    ok = matching.zco_c_trace_invariance(c, u, args.tol)
+    return {"c": c, "u": u, "invariant": ok}, ok
 
 
+@command("golden")
 def cmd_golden(args):
     plus, minus = matching.golden_ratio_spectrum()
-    return emit(args, "golden", {"lambda_plus": plus, "lambda_minus": minus})
+    return {"lambda_plus": plus, "lambda_minus": minus}
 
 
+@command("obstruction", *CURVE, opt("--K", type=int, default=10))
 def cmd_obstruction(args):
-    curve = resolve_curve(args)
-    witness = matching.interpolation_obstruction(curve, args.K)
+    witness = matching.interpolation_obstruction(resolve_curve(args), args.K)
     if witness is None:
-        return emit(args, "obstruction", {"witness": None}, "INFO")
+        return {"witness": None}
     p, q, a_p, a_q, slopes = witness
-    return emit(args, "obstruction",
-                {"p": p, "q": q, "a_p": a_p, "a_q": a_q, "slopes": list(slopes)})
+    return {"p": p, "q": q, "a_p": a_p, "a_q": a_q, "slopes": list(slopes)}
 
 
+@command("universality",
+         opt("--dispersion", choices=tuple(continuum.DISPERSIONS), default="tanh"),
+         opt("--z", required=True), TOL)
 def cmd_universality(args):
-    disp = continuum.DISPERSIONS[args.dispersion]
-    res = continuum.universality_integral(disp, _cx(args.z), args.tol)
+    z = _cx(args.z)
+    res = continuum.universality_integral(continuum.DISPERSIONS[args.dispersion], z, args.tol)
     payload = {"value": res.value, "estimated_error": res.estimated_error,
                "evaluations": res.evaluations}
-    z = _cx(args.z)
     if z.imag == 0:
         payload["closed_form"] = continuum.arcsine_closed_form(z)
-    return emit(args, "universality", payload, "INFO", args.tol)
+    return payload
 
 
+@command("arcsine", one_of(opt("--z"), opt("--t", type=float)))
 def cmd_arcsine(args):
     if args.z is not None:
-        return emit(args, "arcsine", {"closed_form": continuum.arcsine_closed_form(_cx(args.z))})
-    payload = {"t": args.t, "pdf": continuum.arcsine_pdf(args.t),
-               "cdf": continuum.arcsine_cdf(args.t)}
-    return emit(args, "arcsine", payload)
+        return {"closed_form": continuum.arcsine_closed_form(_cx(args.z))}
+    return {"t": args.t, "pdf": continuum.arcsine_pdf(args.t),
+            "cdf": continuum.arcsine_cdf(args.t)}
 
 
+@command("chi4-L", opt("--s", type=float, required=True), TOL)
 def cmd_chi4_l(args):
     L = continuum.dirichlet_L_chi4(args.s, args.tol)
-    return emit(args, "chi4-L", {"s": args.s, "L": L, "eta": 2 * L}, "INFO", args.tol)
+    return {"s": args.s, "L": L, "eta": 2 * L}
 
 
+@command("eta-feq", opt("--s", type=float, required=True), TOL)
 def cmd_eta_feq(args):
     res = continuum.eta_functional_equation_residual(args.s)
-    return emit(args, "eta-feq", {"s": args.s, "residual": res},
-                "PASS" if res <= args.tol else "FAIL", args.tol)
+    return {"s": args.s, "residual": res}, res <= args.tol
 
 
+@command("delta-series", *CURVE, X)
 def cmd_delta_series(args):
-    curve = resolve_curve(args)
-    series = stats.delta_p_series(curve, args.X)
+    series = stats.delta_p_series(resolve_curve(args), args.X)
     rows = [{"p": r.p, "a_p": r.a_p, "w_plus": r.w_plus, "u": r.u,
              "lambda": r.lam, "delta": r.delta, "class": r.cls}
             for r in series.rows]
-    return emit(args, "delta-series", {"curve": series.label, "X": series.X, "rows": rows})
+    return {"curve": series.label, "X": series.X, "rows": rows}
 
 
+@command("sato-tate", *CURVE, X)
 def cmd_sato_tate(args):
     curve = resolve_curve(args)
     series = stats.delta_p_series(curve, args.X)
@@ -403,52 +447,48 @@ def cmd_sato_tate(args):
     }
     if rep.cm_warning:
         payload["warning"] = rep.cm_warning
-    return emit(args, "sato-tate", payload)
+    return payload
 
 
+@command("bulk", *CURVE, X, opt("--eps", type=float, required=True))
 def cmd_bulk(args):
-    curve = resolve_curve(args)
-    series = stats.delta_p_series(curve, args.X)
+    series = stats.delta_p_series(resolve_curve(args), args.X)
     n, ratio = stats.bulk_count(series, args.eps)
-    return emit(args, "bulk", {
-        "N_delta": n, "ratio": ratio, "target": stats.bulk_target(args.eps),
-    })
+    return {"N_delta": n, "ratio": ratio, "target": stats.bulk_target(args.eps)}
 
 
+@command("accumulate", *CURVE, opt("--X-list", default="1000,10000"))
 def cmd_accumulate(args):
-    curve = resolve_curve(args)
     x_list = [int(x) for x in args.X_list.split(",")]
-    points = stats.accumulation_means(curve, x_list)
+    points = stats.accumulation_means(resolve_curve(args), x_list)
     rows = [{"X": pt.X, "u_bar": pt.u_bar, "lambda_bar": pt.lam_bar, "dev": pt.dev}
             for pt in points]
-    return emit(args, "accumulate", {"rows": rows})
+    return {"rows": rows}
 
 
+@command("catalogue", CATALOGUE)
 def cmd_catalogue(args):
-    rows = []
-    for entry in curves.load_catalogue(args.catalogue):
-        rows.append({
-            "label": entry.label,
-            "model": list(entry.model) if entry.model else None,
-            "j": str(entry.j) if entry.j is not None else None,
-            "cm_discriminant": entry.cm_discriminant,
-            "pencil_params": [str(v) for v in entry.pencil_params]
-            if entry.pencil_params else None,
-            "source": entry.source,
-        })
-    return emit(args, "catalogue", {"rows": rows})
+    return {"rows": [{
+        "label": entry.label,
+        "model": list(entry.model) if entry.model else None,
+        "j": str(entry.j) if entry.j is not None else None,
+        "cm_discriminant": entry.cm_discriminant,
+        "pencil_params": [str(v) for v in entry.pencil_params]
+        if entry.pencil_params else None,
+        "source": entry.source,
+    } for entry in curves.load_catalogue(args.catalogue)]}
 
 
+@command("verify-all")
 def cmd_verify_all(args):
     results = acceptance.run_all()
     rows = [{"criterion": r.number, "name": r.name,
              "status": "PASS" if r.passed else "FAIL", "detail": r.detail}
             for r in results]
-    status = "PASS" if all(r.passed for r in results) else "FAIL"
-    return emit(args, "verify-all", {"rows": rows}, status)
+    return {"rows": rows}, all(r.passed for r in results)
 
 
-# -- parser ------------------------------------------------------------------
+# -- parser and dispatch -----------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,158 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Operator encoding of L-function Euler factors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (fn, options, parser_kwargs) in COMMANDS.items():
+        p = sub.add_parser(name, **parser_kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        return p
-
-    def catalogue_opt(p):
-        p.add_argument("--catalogue", default=None, help="catalogue JSON override")
-
-    def curve_opts(p):
-        p.add_argument("--curve", help="catalogue label")
-        p.add_argument("--model", help="a1,a2,a3,a4,a6")
-        catalogue_opt(p)
-
-    def pencil_opts(p):
-        p.add_argument("--pencil", help="tau,delta,Delta (decimals parsed exactly)")
-
-    def tol_opt(p):
-        p.add_argument("--tol", type=float, default=1e-9)
-
-    p = add("ap", cmd_ap, help="Frobenius traces by point counting")
-    curve_opts(p)
-    p.add_argument("--max-p", type=int, required=True)
-    p.add_argument("--include-bad", action="store_true")
-
-    p = add("good-primes", cmd_good_primes)
-    curve_opts(p)
-    p.add_argument("--max-p", type=int, required=True)
-
-    p = add("hasse", cmd_hasse)
-    p.add_argument("--ap", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-
-    p = add("cornacchia", cmd_cornacchia)
-    p.add_argument("--p", type=int, required=True)
-
-    p = add("quartic", cmd_quartic, help="plain-coefficient quartic to Weierstrass")
-    p.add_argument("--coeffs", required=True, help="a,b,c,d,e")
-
-    p = add("legendre-j", cmd_legendre_j)
-    p.add_argument("--lambda-cr", dest="lambda_cr", required=True)
-
-    p = add("curve-j", cmd_curve_j)
-    curve_opts(p)
-
-    # the commands that build a Pencil2, and so read --E
-    for name, fn in (("pencil", cmd_pencil), ("spectral-poly", cmd_spectral_poly),
-                     ("evenness", cmd_evenness), ("pontryagin", cmd_pontryagin),
-                     ("eta-gram", cmd_eta_gram)):
-        p = add(name, fn)
-        pencil_opts(p)
-        p.add_argument("--E", default="1")
-    p.add_argument("--c", default="1")  # eta-gram, the last of the loop
-
-    p = add("monomial-gram", cmd_monomial_gram)
-    p.add_argument("--eps1", type=int, default=1)
-    p.add_argument("--eps2", type=int, default=-1)
-
-    p = add("j", cmd_j)
-    tau = p.add_mutually_exclusive_group(required=True)
-    tau.add_argument("--tau")
-    tau.add_argument("--tau-sq", dest="tau_sq")
-    p.add_argument("--delta", required=True)
-    p.add_argument("--Delta", required=True)
-
-    p = add("j1728-q", cmd_j1728_q)
-    p.add_argument("--tau-sq", dest="tau_sq", required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--Delta", required=True)
-
-    p = add("basepoint", cmd_basepoint)
-    p.add_argument("--pencil")
-    p.add_argument("--ap", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--branch", choices=("plus", "minus"), default="plus")
-
-    p = add("match", cmd_match)
-    curve_opts(p)
-    pencil_opts(p)
-    tol_opt(p)
-    p.add_argument("--ap", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--max-p", type=int)
-    p.add_argument("--branch", choices=("plus", "minus"), default="plus")
-
-    p = add("reduce-check", cmd_reduce_check)
-    pencil_opts(p)
-    p.add_argument("--ap", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-
-    p = add("disc-identity", cmd_disc_identity)
-    p.add_argument("--ap", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-
-    p = add("d-off", cmd_d_off)
-    p.add_argument("--w", required=True)
-    p.add_argument("--p", type=int, required=True)
-
-    p = add("cd-ratio", cmd_cd_ratio)
-    p.add_argument("--ap", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-
-    p = add("tco", cmd_tco)
-    p.add_argument("--ap", type=int)
-    p.add_argument("--p", type=int, required=True)
-
-    add("zco", cmd_zco)
-
-    p = add("zco-c", cmd_zco_c)
-    p.add_argument("--c", required=True)
-    p.add_argument("--u", required=True, help="complex, e.g. 0.3+0.4i")
-    tol_opt(p)
-
-    add("golden", cmd_golden)
-
-    p = add("obstruction", cmd_obstruction)
-    curve_opts(p)
-    p.add_argument("--K", type=int, default=10)
-
-    p = add("universality", cmd_universality)
-    p.add_argument("--dispersion", choices=tuple(continuum.DISPERSIONS), default="tanh")
-    p.add_argument("--z", required=True)
-    tol_opt(p)
-
-    p = add("arcsine", cmd_arcsine)
-    point = p.add_mutually_exclusive_group(required=True)
-    point.add_argument("--z")
-    point.add_argument("--t", type=float)
-
-    for name, fn in (("chi4-L", cmd_chi4_l), ("eta-feq", cmd_eta_feq)):
-        p = add(name, fn)
-        p.add_argument("--s", type=float, required=True)
-        tol_opt(p)
-
-    for name, fn in (("delta-series", cmd_delta_series), ("sato-tate", cmd_sato_tate)):
-        p = add(name, fn)
-        curve_opts(p)
-        p.add_argument("--X", type=int, default=10**4)
-
-    p = add("bulk", cmd_bulk)
-    curve_opts(p)
-    p.add_argument("--X", type=int, default=10**4)
-    p.add_argument("--eps", type=float, required=True)
-
-    p = add("accumulate", cmd_accumulate)
-    curve_opts(p)
-    p.add_argument("--X-list", dest="X_list", default="1000,10000")
-
-    catalogue_opt(add("catalogue", cmd_catalogue))
-    add("verify-all", cmd_verify_all)
-
+        for option in options:
+            option(p)
     return parser
 
 
@@ -619,7 +513,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        for dest, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{dest} = {value} is not finite")
+        result = args.fn(args)
+        payload, ok = result if isinstance(result, tuple) else (result, None)
+        status = "INFO" if ok is None else "PASS" if ok else "FAIL"
+        # tolerance is reported exactly by the subcommands that take --tol
+        return emit(args, args.command, payload, status, getattr(args, "tol", None))
     except (ValueError, KeyError, ArithmeticError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

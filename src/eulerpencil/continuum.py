@@ -118,12 +118,21 @@ def universality_integral(
 
 
 def arcsine_closed_form(z: complex) -> complex:
-    """arcsin(1/z) / (pi sqrt(z^2 - 1)) with principal branches."""
+    """arcsin(1/z) / (pi sqrt(z^2 - 1)) with principal branches.
+
+    Raises ArithmeticError when the result is not finite (|z| below ~1e-154,
+    where 1/z overflows).
+    """
     z = _check_off_cut(z)
     w = 1 / z
+    root = cmath.sqrt(1 - w * w)
     # principal arcsin continued by the log form for |w| > 1
-    asn = -1j * cmath.log(1j * w + cmath.sqrt(1 - w * w))
-    return asn / (math.pi * cmath.sqrt(z * z - 1))
+    asn = -1j * cmath.log(1j * w + root)
+    # sqrt(z^2 - 1) = z sqrt(1 - w^2) for Re z > 0, without squaring a large z
+    value = asn / (math.pi * z * root)
+    if not cmath.isfinite(value):
+        raise ArithmeticError(f"arcsine closed form at z = {z} is not finite")
+    return value
 
 
 def arcsine_pdf(t: float) -> float:

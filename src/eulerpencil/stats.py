@@ -8,9 +8,6 @@ universal accumulation means.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -43,30 +40,6 @@ class PrimeSeries:
 
     def inert_rows(self) -> list[PrimeRow]:
         return [r for r in self.rows if r.cls == "inert"]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["p", "a_p", "w_plus", "u", "lambda", "delta", "class"])
-        for r in self.rows:
-            writer.writerow(
-                [r.p, r.a_p, f"{r.w_plus:.12g}", f"{r.u:.12g}",
-                 f"{r.lam:.12g}", f"{r.delta:.12g}", r.cls]
-            )
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "label": self.label,
-                "X": self.X,
-                "rows": [
-                    {"p": r.p, "a_p": r.a_p, "w_plus": r.w_plus, "u": r.u,
-                     "lambda": r.lam, "delta": r.delta, "class": r.cls}
-                    for r in self.rows
-                ],
-            }
-        )
 
 
 def delta_p_series(curve: WeierstrassCurve, X: int) -> PrimeSeries:

@@ -125,6 +125,42 @@ def test_exit_two_on_non_finite_z(capsys, z):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("zco-c", "--c", "1", "--u", "nan"),
+        ("arcsine", "--z", "inf"),
+        ("universality", "--z", "infj"),
+    ],
+)
+def test_non_finite_complex_input_names_the_domain(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2 and not out
+    assert err == f"error: {argv[-1]} is not a finite complex number\n"
+
+
+@pytest.mark.parametrize("u, expect", [("0.3+0.4i", {"re": 0.3, "im": 0.4}),
+                                       ("2i", {"re": 0.0, "im": 2.0})])
+def test_complex_input_reads_a_trailing_i(capsys, u, expect):
+    code, out, _ = run(capsys, "zco-c", "--c", "1", "--u", u, "--format", "json")
+    assert code in (0, 1) and json.loads(out)["result"]["u"] == expect
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chi4-L", "--s", "inf"),
+        ("arcsine", "--t", "nan"),
+        ("bulk", "--curve", "256b2", "--X", "100", "--eps", "inf"),
+        ("eta-feq", "--s", "0.5", "--tol", "nan"),
+    ],
+)
+def test_exit_two_on_non_finite_float_option(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2 and not out
+    assert err == f"error: {argv[-2]} = {float(argv[-1])} is not finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("delta-series", "--model", "0,0,0,-300,-285", "--X", "10"),
         ("ap", "--curve", "256b2", "--max-p", "1"),
         ("match", "--curve", "256b2", "--max-p", "2"),
@@ -348,6 +384,29 @@ def _assert_contract(argv):
         code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+def test_cli_surface_is_pinned(capsys, monkeypatch):
+    assert len(SUBCOMMANDS) == 36
+    assert sum(len(actions) for actions in SUBCOMMANDS.values()) == 131
+    assert list(cli.COMMANDS) == list(SUBCOMMANDS)
+    # every subcommand run with a stub body: tolerance comes with --tol alone
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    for name, sub in subparsers.items():
+        sub.set_defaults(fn=lambda args: {})
+        argv = [name, "--format", "json"]
+        for action in SUBCOMMANDS[name]:
+            if action.required:
+                argv += [action.option_strings[0], "1"]
+        for group in sub._mutually_exclusive_groups:
+            argv += [group._group_actions[0].option_strings[0], "1"]
+        assert main(argv) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        takes_tol = any("--tol" in a.option_strings for a in SUBCOMMANDS[name])
+        assert ("tolerance" in report) == takes_tol, name
 
 
 @pytest.fixture

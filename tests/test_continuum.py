@@ -54,6 +54,15 @@ def test_branch_cut_rejected(z):
         arcsine_closed_form(z)
 
 
+def test_arcsine_closed_form_extreme_z():
+    # sqrt(z^2 - 1) is taken as z sqrt(1 - 1/z^2), so z^2 never overflows
+    for z in (1e300, 1e300 + 1e299j, 1e200j + 1.0):
+        value = arcsine_closed_form(z)
+        assert math.isfinite(value.real) and math.isfinite(value.imag)
+    with pytest.raises(ArithmeticError):  # 1/z overflows
+        arcsine_closed_form(1e-200 + 1e-200j)
+
+
 # -- arcsine measure ----------------------------------------------------------
 
 

@@ -1,8 +1,5 @@
 """Prime-sweep statistics tests over the CM curve 256b2."""
 
-import csv
-import io
-import json
 import math
 
 import pytest
@@ -71,16 +68,6 @@ def test_series_rejects_tiny_X(series_1e4):
     curve, _ = series_1e4
     with pytest.raises(ValueError):
         delta_p_series(curve, 5)
-
-
-def test_series_serialisers_roundtrip(series_1e4):
-    _, series = series_1e4
-    rows = list(csv.reader(io.StringIO(series.to_csv())))
-    assert rows[0] == ["p", "a_p", "w_plus", "u", "lambda", "delta", "class"]
-    assert len(rows) == len(series.rows) + 1
-    blob = json.loads(series.to_json())
-    assert blob["X"] == 10_000
-    assert blob["rows"][0]["p"] == series.rows[0].p
 
 
 # -- KS distance --------------------------------------------------------------
