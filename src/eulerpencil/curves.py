@@ -1,13 +1,21 @@
 """Elliptic curves over Q: invariants, point counting, quartic reduction.
 
 The Frobenius trace ``ap_count`` is the ground truth for every matching and
-statistical test.  Above a fixed cutoff it runs Shanks-Mestre baby-step
-giant-step on the short model, O(p^{1/4}) group operations per prime; small
-primes, p = 2 and forced counts at bad primes use the O(p) Legendre-symbol
-sweep (exhaustive enumeration at p = 2), which the tests keep as the oracle
-for the fast path.  ``CM_DISCRIMINANTS`` lists the 13 rational CM
-j-invariants.  A curated catalogue of curve/pencil data ships as package
-data.
+statistical test.  It takes one of three paths, chosen from p and the
+curve's j:
+
+- Legendre: p <= ``_SHANKS_MESTRE_MIN_P`` and forced counts at bad primes,
+  the O(p) Legendre-symbol sweep (exhaustive enumeration at p = 2).  The
+  tests keep it as the oracle for the two fast paths.
+- CM: larger good primes of a curve whose j is in ``CM_DISCRIMINANTS`` (the
+  13 rational CM j-invariants).  a_p = 0 at an inert prime; at a split prime
+  Cornacchia gives a_p up to a unit, and one or two points pick it, in
+  O(log^2 p) operations.
+- Shanks-Mestre: larger good primes of every other curve, baby-step
+  giant-step on the short model, O(p^{1/4}) group operations per prime.
+
+``ap_sweep`` runs the same paths over the sieved good primes up to X.  A
+curated catalogue of curve/pencil data ships as package data.
 """
 
 from __future__ import annotations
@@ -15,11 +23,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from importlib import resources
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .exactmath import Rational, _as_fraction
 
@@ -56,17 +64,44 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
+#: The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+#: below ``_MILLER_RABIN_BOUND`` (Sorenson-Webster, "Strong pseudoprimes to
+#: twelve prime bases", Math. Comp. 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality: deterministic Miller-Rabin, O(log^3 n), below 3.3e24.
+
+    Larger n fall back to trial division, which is exact but O(sqrt n).
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if n % p == 0:
-            return n == p
-    i = 37
-    while i * i <= n:
-        if n % i == 0:
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
+        return True
+    if n >= _MILLER_RABIN_BOUND:
+        i = 43
+        while i * i <= n:
+            if n % i == 0:
+                return False
+            i += 2
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 
@@ -97,6 +132,35 @@ class WeierstrassCurve:
     def __str__(self):
         return self.label or f"[{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}]"
 
+    # Per-curve data that point counting reads at every prime, computed once
+    # and kept on the instance (cached_property writes to its __dict__, which
+    # the frozen dataclass allows).
+
+    @cached_property
+    def _invariants(self) -> "CurveInvariants":
+        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
+        b2 = a1 * a1 + 4 * a2
+        b4 = 2 * a4 + a1 * a3
+        b6 = a3 * a3 + 4 * a6
+        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        c4 = b2 * b2 - 24 * b4
+        c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+        disc = (c4**3 - c6**2) / 1728
+        if disc == 0:
+            raise SingularCurveError(f"curve {self} is singular (disc = 0)")
+        return CurveInvariants(b2, b4, b6, b8, c4, c6, disc, c4**3 / disc)
+
+    @cached_property
+    def _short_model(self) -> tuple[int, Fraction, Fraction]:
+        """(den, A, B): y^2 = x^3 + A x + B with A = -27 c4, B = -54 c6.
+
+        den is the lcm of the model's denominators, so the model reduces mod
+        p exactly when p does not divide den.
+        """
+        inv = self._invariants
+        den = math.lcm(*(c.denominator for c in (self.a1, self.a2, self.a3, self.a4, self.a6)))
+        return den, -27 * inv.c4, -54 * inv.c6
+
 
 class CurveInvariants(NamedTuple):
     b2: Rational
@@ -109,26 +173,25 @@ class CurveInvariants(NamedTuple):
     j: Rational
 
 
-@lru_cache(maxsize=None)
 def curve_invariants(curve: WeierstrassCurve) -> CurveInvariants:
     """Standard Weierstrass invariants (b2, b4, b6, b8, c4, c6, disc, j)."""
-    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    c4 = b2 * b2 - 24 * b4
-    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
-    disc = (c4**3 - c6**2) / 1728
-    if disc == 0:
-        raise SingularCurveError(f"curve {curve} is singular (disc = 0)")
-    return CurveInvariants(b2, b4, b6, b8, c4, c6, disc, c4**3 / disc)
+    return curve._invariants
 
 
 def _coeff_mod(c: Fraction, p: int) -> int:
     if c.denominator % p == 0:
         raise BadReductionError(f"coefficient {c} not p-integral at p={p}")
     return c.numerator * pow(c.denominator, -1, p) % p
+
+
+def _short_model_mod(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
+    """(A mod p, B mod p) of the short model; BadReductionError if the model
+    itself does not reduce mod p, as in the Legendre sweep."""
+    den, A, B = curve._short_model
+    if den % p == 0:
+        for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6):
+            _coeff_mod(c, p)  # raises, naming the coefficient
+    return _coeff_mod(A, p), _coeff_mod(B, p)
 
 
 def is_good_prime(curve: WeierstrassCurve, p: int) -> bool:
@@ -139,22 +202,50 @@ def is_good_prime(curve: WeierstrassCurve, p: int) -> bool:
 
 
 def ap_count(curve: WeierstrassCurve, p: int, force: bool = False) -> int:
-    """Frobenius trace a_p = p + 1 - #E(F_p).
+    """Frobenius trace a_p = p + 1 - #E(F_p), by one of three paths.
 
-    Good primes p > ``_SHANKS_MESTRE_MIN_P`` are counted by Shanks-Mestre
-    baby-step giant-step (Cohen, GTM 138, 7.4.2), O(p^{1/4}) curve operations
-    per prime: about 60 at p ~ 3e4.  Smaller primes and every call with
-    force=True (bad reduction) go through the O(p) Legendre-symbol sweep
-    ``_ap_legendre``, which is also the oracle the tests hold the fast path
-    to.  Bad primes are rejected unless force=True.
+    - Legendre: p <= ``_SHANKS_MESTRE_MIN_P``, and every call with
+      force=True (bad reduction), go through the O(p) Legendre-symbol sweep
+      ``_ap_legendre``, the oracle the tests hold both fast paths to.
+    - CM: good primes above the cutoff on a curve with CM (its j is in
+      ``CM_DISCRIMINANTS``) go through ``_ap_cm``: a_p = 0 at an inert prime,
+      Cornacchia and a point check at a split one, O(log^2 p) operations.
+    - Shanks-Mestre: good primes above the cutoff on every other curve go
+      through baby-step giant-step (Cohen, GTM 138, 7.4.2), O(p^{1/4}) curve
+      operations per prime: about 60 at p ~ 3e4.
+
+    Bad primes are rejected unless force=True.
     """
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if not is_good_prime(curve, p) and not force:
-        raise BadReductionError(f"p={p} is a bad prime for {curve} (pass force=True)")
-    if p > _SHANKS_MESTRE_MIN_P and not force:
+        raise BadReductionError(f"p={p} is a bad prime for {curve}")
+    if force:
+        return _ap_legendre(curve, p)
+    D = cm_discriminant(curve)
+    return _ap_good(curve, p, D, None if D is None else cm_splits(D, p))
+
+
+def ap_sweep(curve: WeierstrassCurve, X: int) -> Iterator[tuple[int, int, Optional[bool]]]:
+    """(p, a_p, split) for each good prime p <= X, ascending.
+
+    a_p is what ``ap_count`` returns; the primes come from the sieve, so no
+    primality test runs per prime.  split is ``cm_splits(D, p)`` on a curve
+    with CM by the order of discriminant D and None on a curve without CM.
+    """
+    D = cm_discriminant(curve)
+    for p in good_primes(curve, X):
+        split = None if D is None else cm_splits(D, p)
+        yield p, _ap_good(curve, p, D, split), split
+
+
+def _ap_good(curve: WeierstrassCurve, p: int, D: Optional[int], split: Optional[bool]) -> int:
+    """a_p at a good prime p, on the path ``ap_count`` documents."""
+    if p <= _SHANKS_MESTRE_MIN_P:
+        return _ap_legendre(curve, p)
+    if D is None:
         return _ap_shanks_mestre(curve, p)
-    return _ap_legendre(curve, p)
+    return _ap_cm(curve, p, D, split)
 
 
 def _ap_legendre(curve: WeierstrassCurve, p: int) -> int:
@@ -218,15 +309,44 @@ def _ec_add(P, Q, a: int, p: int):
 
 
 def _ec_mul(k: int, P, a: int, p: int):
-    """k P for k >= 0 by double-and-add."""
-    R = None
-    while k:
-        if k & 1:
-            R = _ec_add(R, P, a, p)
-        k >>= 1
-        if k:
-            P = _ec_add(P, P, a, p)
-    return R
+    """k P for k >= 0 by left-to-right double-and-add.
+
+    The running point is kept in Jacobian coordinates, (x, y) = (X/Z^2,
+    Y/Z^3) with Z = 0 for O, so the one modular inversion is the final one.
+    """
+    if k == 0 or P is None:
+        return None
+    px, py = P
+    X, Y, Z = px, py, 1
+    for bit in bin(k)[3:]:
+        if Z:  # doubling; Z = 2YZ vanishes exactly when 2R = O
+            YY = Y * Y % p
+            S = 4 * X * YY % p
+            ZZ = Z * Z % p
+            M = (3 * X * X + a * ZZ * ZZ) % p
+            X2 = (M * M - 2 * S) % p
+            X, Y, Z = X2, (M * (S - X2) - 8 * YY * YY) % p, 2 * Y * Z % p
+        if bit == "1":  # adding P
+            if not Z:
+                X, Y, Z = px, py, 1
+                continue
+            ZZ = Z * Z % p
+            H = (px * ZZ - X) % p
+            r = (py * ZZ * Z - Y) % p
+            if not H:  # R = P or R = -P
+                R = _ec_add(P, P, a, p) if not r else None
+                X, Y, Z = (0, 1, 0) if R is None else (*R, 1)
+                continue
+            HH = H * H % p
+            HHH = H * HH % p
+            V = X * HH % p
+            X2 = (r * r - HHH - 2 * V) % p
+            X, Y, Z = X2, (r * (V - X2) - Y * HHH) % p, Z * H % p
+    if not Z:
+        return None
+    zi = pow(Z, -1, p)
+    zi2 = zi * zi % p
+    return X * zi2 % p, Y * zi2 * zi % p
 
 
 def _progression_hits(Q, R, count: int, a: int, p: int) -> list[int]:
@@ -284,11 +404,7 @@ def _ap_shanks_mestre(curve: WeierstrassCurve, p: int) -> int:
     arithmetic progression start + t step, 0 <= t < count, narrowed by each
     point until one is left.  Falls back to the Legendre sweep if x reaches p.
     """
-    for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6):
-        _coeff_mod(c, p)  # a model not integral at p fails as in the Legendre sweep
-    inv = curve_invariants(curve)
-    A = -27 * _coeff_mod(inv.c4, p) % p
-    B = -54 * _coeff_mod(inv.c6, p) % p
+    A, B = _short_model_mod(curve, p)
     r = math.isqrt(4 * p)
     start, step, count = p + 1 - r, 1, 2 * r + 1
     half = (p - 1) // 2
@@ -317,6 +433,98 @@ def _ap_shanks_mestre(curve: WeierstrassCurve, p: int) -> int:
     return _ap_legendre(curve, p)
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a quadratic residue a mod an odd prime p (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s, q odd
+    q = (p - 1) >> s
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _cornacchia(D: int, p: int) -> tuple[int, int]:
+    """(t, s), both >= 0, with 4p = t^2 + |D| s^2 (Cohen, GTM 138, Alg. 1.5.3).
+
+    D < 0 is a discriminant (0 or 1 mod 4) and p an odd prime, p not
+    dividing D, with (D/p) = 1.  Raises ArithmeticError when the equation has
+    no solution, which for the 13 class-number-one D means p does not split.
+    """
+    b = _sqrt_mod(D, p)
+    if (b - D) % 2:
+        b = p - b
+    a, limit = 2 * p, math.isqrt(4 * p)
+    while b > limit:
+        a, b = b, a % b
+    c, rest = divmod(4 * p - b * b, -D)
+    s = math.isqrt(c)
+    if rest or s * s != c:
+        raise ArithmeticError(f"4p = t^2 + {-D} s^2 has no solution at p={p}")
+    return b, s
+
+
+def _ap_cm(curve: WeierstrassCurve, p: int, D: int, split: bool) -> int:
+    """a_p at a good prime p > 229 of a curve with CM by the order of discriminant D.
+
+    split is ``cm_splits(D, p)``.  An inert prime gives a_p = 0.  At a split
+    prime Frobenius is (a_p + s sqrt D)/2 in the CM order, so Cornacchia's
+    4p = t^2 + |D| s^2 fixes a_p up to a unit: the candidates are {+-t}, for
+    D = -4 also {+-2s} and for D = -3 also {+-(t + 3s)/2, +-(t - 3s)/2}.
+    A point P of the short model keeps the candidates c with
+    [p + 1] P = [c] P; points are taken as in ``_ap_shanks_mestre``, so a
+    point of the quadratic twist keeps the negated candidates.  Points are
+    drawn until one candidate is left (Mestre's theorem bounds this for
+    p > 229, as for Shanks-Mestre).
+    """
+    A, B = _short_model_mod(curve, p)
+    if not split:
+        return 0
+    t, s = _cornacchia(D, p)
+    if D == -4:
+        left = {t, -t, 2 * s, -2 * s}
+    elif D == -3:
+        u, v = (t + 3 * s) // 2, (t - 3 * s) // 2
+        left = {t, -t, u, -u, v, -v}
+    else:
+        left = {t, -t}
+    half = (p - 1) // 2
+    for x in range(1, p):
+        f = ((x * x + A) * x + B) % p
+        if f == 0:
+            continue
+        ff = f * f % p
+        P = (x * f % p, ff)
+        a = A * ff % p
+        sign = 1 if pow(f, half, p) == 1 else -1
+        Q = _ec_mul(p + 1, P, a, p)
+        fits = set()
+        for m in {abs(c) for c in left}:
+            R = _ec_mul(m, P, a, p)
+            if R == Q:
+                fits.add(sign * m)
+            if (None if R is None else (R[0], -R[1] % p)) == Q:
+                fits.add(-sign * m)
+        left &= fits
+        if not left:
+            raise ArithmeticError(f"no CM trace of {curve} at p={p} fits point x={x}")
+        if len(left) == 1:
+            return left.pop()
+    return _ap_legendre(curve, p)
+
+
 def good_primes(curve: WeierstrassCurve, X: int) -> list[int]:
     """Ascending good primes p <= X."""
     return [p for p in primes_upto(X) if is_good_prime(curve, p)]
@@ -328,20 +536,20 @@ def hasse_check(a_p: int, p: int) -> bool:
 
 
 def two_squares(p: int) -> tuple[int, int]:
-    """p = a^2 + b^2 with a odd, b even and a + b = 1 mod 4, for p = 1 mod 4.
+    """p = a^2 + b^2 with a odd, b even and a + b = 1 mod 4, for a prime p = 1 mod 4.
 
-    At a prime p this (a, b) is unique: the CM-by-Z[i] rule gives
-    a_p(y^2 = x^3 - x) = 2a.  Raises InertPrimeError unless p = 1 mod 4 and
-    ArithmeticError when p has no such decomposition.
+    This (a, b) is unique: the CM-by-Z[i] rule gives a_p(y^2 = x^3 - x) = 2a.
+    It comes from the CM path's Cornacchia with D = -4.  Raises
+    InertPrimeError unless p = 1 mod 4 and ArithmeticError when p is not
+    prime.
     """
     if p % 4 != 1:
         raise InertPrimeError(f"p={p} is not 1 mod 4")
-    for b in range(0, math.isqrt(p) + 1, 2):
-        a_sq = p - b * b
-        a = math.isqrt(a_sq)
-        if a * a == a_sq and a % 2 == 1:
-            return (a if (a + b) % 4 == 1 else -a), b
-    raise ArithmeticError(f"no two-square decomposition found for p={p}")
+    if not is_prime(p):
+        raise ArithmeticError(f"p={p} is not prime")
+    t, s = _cornacchia(-4, p)  # 4p = t^2 + 4 s^2, so p = (t/2)^2 + s^2
+    a, b = (t // 2, s) if s % 2 == 0 else (s, t // 2)
+    return (a if (a + b) % 4 == 1 else -a), b
 
 
 def cornacchia_candidates(p: int) -> set[int]:

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .continuum import arcsine_cdf
-from .curves import WeierstrassCurve, ap_count, cm_discriminant, cm_splits, good_primes
-from .matching import canonical_basepoint
+# ap_count is not called here; its binding in this module stays for
+# bench/tracing.py, whose self-test traces it as stats.ap_count
+from .curves import WeierstrassCurve, ap_count, ap_sweep  # noqa: F401
 
 EPSILON_BOUND_C = 1.5  # |delta_p - a_p/(2 sqrt p)| <= C / sqrt(p)
 
@@ -45,6 +46,11 @@ class PrimeSeries:
 def delta_p_series(curve: WeierstrassCurve, X: int) -> PrimeSeries:
     """Canonical-basepoint observables for every good prime <= X.
 
+    w_plus is the correctly rounded float of the canonical basepoint
+    w^+ = (a_p + sqrt(Delta_p))/(2p), Delta_p = 4p(p+1) - a_p^2, computed in
+    integers (``matching.canonical_basepoint`` is its exact form); u, lambda
+    and delta follow from it in floats.
+
     Verifies the fluctuation bound |delta_p - a_p/(2 sqrt p)| <= 1.5/sqrt(p)
     row by row.  On a CM curve (j in ``curves.CM_DISCRIMINANTS``) a row is
     "split" when p splits in the CM field and "inert" otherwise, so inert
@@ -54,12 +60,15 @@ def delta_p_series(curve: WeierstrassCurve, X: int) -> PrimeSeries:
     """
     if X < 10:
         raise ValueError("X must be >= 10")
-    D = cm_discriminant(curve)
     rows = []
-    for p in good_primes(curve, X):
-        a_p = ap_count(curve, p)
-        bp = canonical_basepoint(a_p, p, "plus")
-        w = float(bp.w)
+    for p, a_p, split in ap_sweep(curve, X):
+        # 2^64 (a_p + sqrt(Delta_p)) rounded down, and one more bit that is
+        # set when the root is inexact: every rounding tie of the quotient is
+        # then an integer multiple of 1/(p 2^65), so the one int/int division
+        # rounds w^+ itself correctly
+        scaled = (4 * p * (p + 1) - a_p * a_p) << 128
+        root = math.isqrt(scaled)
+        w = (((a_p << 64) + root) * 2 + (root * root != scaled)) / (p << 66)
         u = math.sqrt(w)
         lam = u**3 - a_p * u / (2 * p)
         delta = (u - 1.0) * 2.0 * math.sqrt(p)
@@ -68,8 +77,8 @@ def delta_p_series(curve: WeierstrassCurve, X: int) -> PrimeSeries:
             raise ArithmeticError(
                 f"fluctuation bound violated at p={p}: gap={gap:.3e}"
             )
-        if D is not None:
-            cls = "split" if cm_splits(D, p) else "inert"
+        if split is not None:
+            cls = "split" if split else "inert"
         else:
             cls = "inert" if p % 4 == 3 else ("split" if p % 4 == 1 else "bad")
         rows.append(PrimeRow(p, a_p, w, u, lam, delta, cls))

@@ -109,6 +109,20 @@ def test_exit_two_on_missing_input(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (("tco", "--p", "2"), "error: p=2 is a bad prime for 48a1\n"),
+        (("match", "--curve", "256b2", "--p", "2"), "error: p=2 is a bad prime for 256b2\n"),
+        (("cornacchia", "--p", "65"), "error: p=65 is not prime\n"),
+    ],
+)
+def test_exit_two_on_bad_or_composite_prime(capsys, argv, stderr):
+    # the bad-prime message names no library keyword; a composite p = 1 mod 4
+    # has no Cornacchia decomposition to offer
+    assert run(capsys, *argv) == (2, "", stderr)
+
+
 def test_exit_two_on_unconverged_series(capsys):
     code, out, err = run(capsys, "chi4-L", "--s", "2", "--tol", "1e-18")
     assert code == 2 and not out

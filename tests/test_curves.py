@@ -15,6 +15,7 @@ from eulerpencil.curves import (
     SingularCurveError,
     WeierstrassCurve,
     ap_count,
+    ap_sweep,
     build_ap_table,
     catalogue_entry,
     cm_discriminant,
@@ -24,6 +25,7 @@ from eulerpencil.curves import (
     good_primes,
     hasse_check,
     is_good_prime,
+    is_prime,
     legendre_j,
     load_catalogue,
     primes_upto,
@@ -40,6 +42,17 @@ def test_primes_upto_oracle():
     ps = primes_upto(100)
     assert len(ps) == 25
     assert ps[:5] == [2, 3, 5, 7, 11]
+
+
+def test_is_prime_against_sieve_and_pseudoprimes():
+    assert [n for n in range(-5, 10**6 + 1) if is_prime(n)] == primes_upto(10**6)
+    # Carmichael numbers, a strong pseudoprime to the bases 2, 3, 5, 7, and one
+    # to the first 12 prime bases that only the 13th base (41) exposes
+    for n in (561, 1105, 3215031751, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(10**12 + 39) and is_prime(2**61 - 1)
+    # above the Miller-Rabin bound the answer comes from trial division
+    assert not is_prime(47 * curves._MILLER_RABIN_BOUND)
 
 
 # -- invariants ---------------------------------------------------------------
@@ -103,7 +116,7 @@ def test_ap_p2_exhaustive():
 
 def test_ap_bad_prime_guard():
     curve = WeierstrassCurve.short(-1, 0)  # disc 64: p=2 is bad
-    with pytest.raises(BadReductionError):
+    with pytest.raises(BadReductionError, match=r"^p=2 is a bad prime for \[0,0,0,-1,0\]$"):
         ap_count(curve, 2)
     ap_count(curve, 2, force=True)  # forced count is allowed
 
@@ -211,16 +224,101 @@ def test_ap_count_paths_by_prime(monkeypatch):
     ap_count(curve, 1019)
 
 
-@pytest.mark.parametrize("p", [997, 1009])
+@pytest.mark.parametrize("p", [997, 1009, 1019])
 def test_ap_count_rejects_model_not_integral_at_good_prime(p):
     # y^2 = (x + u)^3 + (x + u) + 1 with u = 1/p is y^2 = x^3 + x + 1 moved by
     # x -> x + u: same c4, c6 and discriminant, so p is good, but the model
-    # does not reduce mod p, on either side of the counting cutoff
+    # does not reduce mod p, on either side of the counting cutoff.  The same
+    # move on y^2 = x^3 - x (CM by Z[i]) reaches the CM path above the
+    # cutoff, at a split (1009) and at an inert (1019) prime.
     u = Fraction(1, p)
-    curve = WeierstrassCurve.from_model([0, 3 * u, 0, 3 * u * u + 1, u**3 + u + 1])
-    assert is_good_prime(curve, p)
-    with pytest.raises(BadReductionError, match="not p-integral"):
-        ap_count(curve, p)
+    for model in ([0, 3 * u, 0, 3 * u * u + 1, u**3 + u + 1],
+                  [0, 3 * u, 0, 3 * u * u - 1, u**3 - u]):
+        curve = WeierstrassCurve.from_model(model)
+        assert is_good_prime(curve, p)
+        with pytest.raises(BadReductionError, match="not p-integral"):
+            ap_count(curve, p)
+
+
+# -- the CM path ----------------------------------------------------------------
+
+
+def _curve_with_j(j: int) -> WeierstrassCurve:
+    """A short model with the given j: y^2 = x^3 + 3j(1728-j) x + 2j(1728-j)^2."""
+    if j == 0:
+        return WeierstrassCurve.short(0, 1)
+    if j == 1728:
+        return WeierstrassCurve.short(1, 0)
+    return WeierstrassCurve.short(3 * j * (1728 - j), 2 * j * (1728 - j) ** 2)
+
+
+def test_cm_path_matches_shanks_mestre_on_cm_catalogue():
+    # every prime in (1000, 3e4] of the catalogue's CM models, inert and split
+    for label in ("256b2", "32a2", "2304b1", "27a3"):
+        curve = catalogue_entry(label).curve
+        D = cm_discriminant(curve)
+        for p in good_primes(curve, 30_000):
+            if p > curves._SHANKS_MESTRE_MIN_P:
+                expect = curves._ap_shanks_mestre(curve, p)
+                assert curves._ap_cm(curve, p, D, cm_splits(D, p)) == expect, (label, p)
+
+
+@pytest.mark.parametrize("j, D", sorted(curves.CM_DISCRIMINANTS.items()))
+def test_cm_path_matches_shanks_mestre_for_every_cm_discriminant(j, D):
+    # the general {+-t} candidates of the eleven D without extra units, and
+    # the orders of conductor 2 and 3 (D = -12, -16, -27, -28)
+    curve = _curve_with_j(j)
+    assert cm_discriminant(curve) == D
+    for p in good_primes(curve, 6000):
+        if p > curves._SHANKS_MESTRE_MIN_P:
+            expect = curves._ap_shanks_mestre(curve, p)
+            assert curves._ap_cm(curve, p, D, cm_splits(D, p)) == expect, (D, p)
+
+
+_PRIMES_1E6 = [p for p in primes_upto(10**6) if p > curves._SHANKS_MESTRE_MIN_P]
+
+
+@given(st.integers(min_value=1, max_value=10**6), st.booleans(), st.booleans(),
+       st.sampled_from(_PRIMES_1E6))
+@settings(max_examples=60, deadline=None)
+def test_cm_path_on_twists_matches_shanks_mestre(c, negate, j_zero, p):
+    # the quartic twists y^2 = x^3 + A x (D = -4) and the sextic twists
+    # y^2 = x^3 + B (D = -3), where the unit group adds candidates
+    c = -c if negate else c
+    curve = WeierstrassCurve.short(0, c) if j_zero else WeierstrassCurve.short(c, 0)
+    assume(is_good_prime(curve, p))
+    D = -3 if j_zero else -4
+    assert cm_discriminant(curve) == D
+    a_p = ap_count(curve, p)
+    assert a_p == curves._ap_cm(curve, p, D, cm_splits(D, p))
+    assert a_p == curves._ap_shanks_mestre(curve, p)
+
+
+def test_ap_count_paths_by_curve(monkeypatch):
+    # above the cutoff a CM curve is counted by the CM path and any other
+    # curve by Shanks-Mestre, in ap_count and ap_sweep alike
+    def refuse(*args):
+        raise AssertionError("wrong counting path")
+
+    cm, plain = catalogue_entry("27a3").curve, catalogue_entry("48a1").curve
+    monkeypatch.setattr(curves, "_ap_shanks_mestre", refuse)
+    ap_count(cm, 1021)
+    list(ap_sweep(cm, 1200))
+    monkeypatch.undo()
+    monkeypatch.setattr(curves, "_ap_cm", refuse)
+    ap_count(plain, 1021)
+    list(ap_sweep(plain, 1200))
+
+
+def test_ap_sweep_rows_agree_with_ap_count():
+    for label in ("256b2", "27a3", "48a1"):
+        curve = catalogue_entry(label).curve
+        D = cm_discriminant(curve)
+        rows = list(ap_sweep(curve, 3000))
+        assert [p for p, _, _ in rows] == good_primes(curve, 3000)
+        for p, a_p, split in rows:
+            assert a_p == ap_count(curve, p)
+            assert split == (None if D is None else cm_splits(D, p))
 
 
 # -- CM discriminants -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Prime-sweep statistics tests over the CM curve 256b2."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -62,6 +63,19 @@ def test_series_non_cm_keeps_mod_4_classes():
     series = delta_p_series(catalogue_entry("48a1").curve, 1000)
     for r in series.rows:
         assert r.cls == ("inert" if r.p % 4 == 3 else "split")
+
+
+@pytest.mark.parametrize("label", ["256b2", "48a1"])
+def test_w_plus_is_correctly_rounded(label):
+    # every row against a 60-digit decimal reference of (a_p + sqrt(Delta_p))/(2p)
+    series = delta_p_series(catalogue_entry(label).curve, 30_000)
+    assert len(series.rows) > 3000
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for r in series.rows:
+            disc = 4 * r.p * (r.p + 1) - r.a_p * r.a_p
+            reference = (r.a_p + Decimal(disc).sqrt()) / (2 * r.p)
+            assert r.w_plus == float(reference), r.p
 
 
 def test_series_rejects_tiny_X(series_1e4):
