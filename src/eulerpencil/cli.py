@@ -110,6 +110,18 @@ def _cx(text: str) -> complex:
     return z
 
 
+def _p(text: str) -> int:
+    """A prime candidate p >= 2; primality is left to the routine that needs it."""
+    try:
+        p = int(text)
+    except ValueError:
+        # argparse's own wording for a type=int option
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if p < 2:
+        raise argparse.ArgumentTypeError(f"p={p} must be >= 2")
+    return p
+
+
 def resolve_curve(args) -> WeierstrassCurve:
     if args.model:
         return WeierstrassCurve.from_model(_rat_list(args.model))
@@ -195,7 +207,7 @@ PENCIL = opt("--pencil", help="tau,delta,Delta (decimals parsed exactly)")
 E = opt("--E", default="1")
 TOL = opt("--tol", type=float, default=1e-9)
 AP = opt("--ap", type=int, required=True)
-P = opt("--p", type=int, required=True)
+P = opt("--p", type=_p, required=True)
 BRANCH = opt("--branch", choices=("plus", "minus"), default="plus")
 X = opt("--X", type=int, default=10**4)
 DELTAS = (opt("--delta", required=True), opt("--Delta", required=True))
@@ -309,7 +321,7 @@ def cmd_basepoint(args):
     return _basepoint_payload(bp)
 
 
-@command("match", *CURVE, PENCIL, TOL, opt("--ap", type=int), opt("--p", type=int),
+@command("match", *CURVE, PENCIL, TOL, opt("--ap", type=int), opt("--p", type=_p),
          opt("--max-p", type=int), BRANCH)
 def cmd_match(args):
     params = resolve_pencil_params(args)

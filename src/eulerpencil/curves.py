@@ -74,7 +74,9 @@ _MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 def is_prime(n: int) -> bool:
     """Exact primality: deterministic Miller-Rabin, O(log^3 n), below 3.3e24.
 
-    Larger n fall back to trial division, which is exact but O(sqrt n).
+    At or above ``_MILLER_RABIN_BOUND`` a witness among the bases still proves
+    n composite (False), but passing every base proves nothing there, so such
+    an n raises ValueError instead of returning an unproven True.
     """
     if n < 2:
         return False
@@ -82,13 +84,6 @@ def is_prime(n: int) -> bool:
         if n % q == 0:
             return n == q
     if n < 43 * 43:
-        return True
-    if n >= _MILLER_RABIN_BOUND:
-        i = 43
-        while i * i <= n:
-            if n % i == 0:
-                return False
-            i += 2
         return True
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
     d = (n - 1) >> s
@@ -102,6 +97,11 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"primality of {n} is not decided: it passes Miller-Rabin on the first"
+            f" 13 prime bases, which proves primality only below {_MILLER_RABIN_BOUND}"
+        )
     return True
 
 

@@ -74,7 +74,6 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
 class QuadExt:
     """An element x + y*sqrt(d) of a quadratic extension of the rationals.
 
@@ -83,86 +82,116 @@ class QuadExt:
     rather than silently degrading to floats.  If ``d`` is a perfect
     rational square the value is normalised to ``y = 0`` (and ``d = 0``).
 
-    Invariant: ``d == 0`` when ``y == 0``; otherwise ``d`` is the squarefree
-    integer part of the radicand given (never 0 or 1), and the rational
-    square factor taken out of it is moved into ``y``.  Equal values
-    therefore have equal fields.  Construction costs O(n^(1/3)) trial
-    divisions in n = |num(d) * den(d)|.  Ring results (``+``, ``-``, ``*``,
-    ``/``, ``**``, ``conj``) inherit an operand's canonical radicand and do
-    not canonicalise again.
+    Representation: four integers, the value being (X + Y*sqrt(k)) / Z.
+    ``.x = X/Z``, ``.y = Y/Z`` and ``.d = k`` are read-only ``Fraction``
+    views of them.
+
+    Invariant: Z > 0 and gcd(X, Y, Z) = 1; ``k == 0`` exactly when
+    ``Y == 0``, and otherwise ``k`` is the squarefree integer part of the
+    radicand given (never 0 or 1), the rational square factor taken out of
+    it being moved into ``Y``.  Equal values therefore have equal fields, and
+    a rational value hashes like the equal ``Fraction``.
+
+    Cost: construction takes O(n^(1/3)) trial divisions in
+    n = |num(d) * den(d)|.  Ring results (``+``, ``-``, ``*``, ``/``,
+    ``**``, ``conj``) inherit an operand's canonical radicand and do not
+    canonicalise again: ``+`` and ``-`` take five integer products, ``*``
+    six and ``/`` eleven, and each ends with one ``math.gcd(X, Y, Z)``;
+    ``**n`` takes O(log n) products; ``norm`` takes four and ``sign`` at
+    most three.
     """
 
-    x: Fraction
-    y: Fraction
-    d: Fraction
+    __slots__ = ("_X", "_Y", "_k", "_Z")
 
     def __init__(self, x: Scalar, y: Scalar = 0, d: Scalar = 0):
         x, y, d = _as_fraction(x), _as_fraction(y), _as_fraction(d)
-        if y == 0:
-            d = Fraction(0)
-        else:
+        k = 0
+        if y != 0:
             root = _exact_sqrt(d)
             if root is not None:
-                x, y, d = x + y * root, Fraction(0), Fraction(0)
+                x, y = x + y * root, Fraction(0)
             else:
                 # canonicalise: d -> its squarefree integer part, so equal
                 # values compare equal regardless of how they were built
-                sign = 1 if d >= 0 else -1
                 s, k = _square_split(abs(d.numerator) * d.denominator)
                 y = y * s / d.denominator
-                d = Fraction(sign * k)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "d", d)
+                if d < 0:
+                    k = -k
+        # x and y are in lowest terms, so over Z = lcm of their denominators
+        # gcd(X, Y, Z) = 1 already
+        Z = math.lcm(x.denominator, y.denominator)
+        self._X = x.numerator * (Z // x.denominator)
+        self._Y = y.numerator * (Z // y.denominator)
+        self._k = k
+        self._Z = Z
 
     @classmethod
-    def _trusted(cls, x: Fraction, y: Fraction, d: Fraction) -> "QuadExt":
-        """Build x + y*sqrt(d) over a radicand that is already canonical.
+    def _from_ints(cls, X: int, Y: int, k: int, Z: int) -> "QuadExt":
+        """(X + Y*sqrt(k)) / Z over a radicand k that is already canonical.
 
         Ring results reuse an operand's radicand, so they skip the
-        canonicalisation in ``__init__``.
+        canonicalisation in ``__init__``; only the common factor of
+        X, Y and Z (and the sign of Z != 0) is taken out.
         """
+        g = math.gcd(X, Y, Z)
+        if Z < 0:
+            g = -g
+        if g != 1:
+            X, Y, Z = X // g, Y // g, Z // g
         self = object.__new__(cls)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "d", d if y != 0 else Fraction(0))
+        self._X, self._Y, self._k, self._Z = X, Y, k if Y else 0, Z
         return self
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self._X, self._Z)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self._Y, self._Z)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self._k)
 
     # -- coercion ---------------------------------------------------------
 
     @classmethod
-    def _coerce(cls, other) -> "QuadExt":
+    def _coerce(cls, other) -> "QuadExt | None":
         if isinstance(other, QuadExt):
             return other
-        return cls(_as_fraction(other))
+        if isinstance(other, (int, Fraction)):
+            return cls._from_ints(other.numerator, 0, 0, other.denominator)
+        return None
 
-    def _join(self, other: "QuadExt") -> Fraction:
+    def _join(self, other: "QuadExt") -> int:
         """Common radicand of self and other, or raise."""
-        if self.y == 0:
-            return other.d
-        if other.y == 0 or self.d == other.d:
-            return self.d
-        raise MixedRadicandError(f"cannot combine sqrt({self.d}) with sqrt({other.d})")
+        if not self._Y:
+            return other._k
+        if not other._Y or self._k == other._k:
+            return self._k
+        raise MixedRadicandError(f"cannot combine sqrt({self._k}) with sqrt({other._k})")
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        d = self._join(other)
-        return QuadExt._trusted(self.x + other.x, self.y + other.y, d)
+        k = self._join(other)
+        Z1, Z2 = self._Z, other._Z
+        return QuadExt._from_ints(
+            self._X * Z2 + other._X * Z1, self._Y * Z2 + other._Y * Z1, k, Z1 * Z2
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt._trusted(-self.x, -self.y, self.d)
+        return QuadExt._from_ints(-self._X, -self._Y, self._k, self._Z)
 
     def __sub__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -170,94 +199,106 @@ class QuadExt:
         return (-self) + other
 
     def __mul__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        d = self._join(other)
-        return QuadExt._trusted(
-            self.x * other.x + d * self.y * other.y,
-            self.x * other.y + self.y * other.x,
-            d,
+        k = self._join(other)
+        X1, Y1, X2, Y2 = self._X, self._Y, other._X, other._Y
+        return QuadExt._from_ints(
+            X1 * X2 + k * Y1 * Y2, X1 * Y2 + Y1 * X2, k, self._Z * other._Z
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        n = other.norm()
+        X1, Y1, X2, Y2, Z2 = self._X, self._Y, other._X, other._Y, other._Z
+        # a / b = a * conj(b) * Z2 / n with n = Z2^2 norm(b), all in integers
+        n = X2 * X2 - other._k * Y2 * Y2
         if n == 0:
             raise ZeroDivisionError("division by zero QuadExt")
-        return self * other.conj() * QuadExt(Fraction(1, 1) / n)
+        k = self._join(other)
+        return QuadExt._from_ints(
+            (X1 * X2 - k * Y1 * Y2) * Z2, (Y1 * X2 - X1 * Y2) * Z2, k, self._Z * n
+        )
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = QuadExt(1)
+        out = QuadExt._from_ints(1, 0, 0, 1)
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.y == 0 and self.x == other
+            return not self._Y and self._X * other.denominator == other.numerator * self._Z
         if isinstance(other, QuadExt):
-            if self.y == 0 and other.y == 0:
-                return self.x == other.x
-            return self.x == other.x and self.y == other.y and self.d == other.d
+            return (
+                self._X == other._X
+                and self._Y == other._Y
+                and self._k == other._k
+                and self._Z == other._Z
+            )
         return NotImplemented
 
     def __hash__(self):
-        if self.y == 0:
-            return hash(self.x)
-        return hash((self.x, self.y, self.d))
+        if not self._Y:
+            return hash(Fraction(self._X, self._Z))
+        return hash((self._X, self._Y, self._k, self._Z))
 
     # -- field structure --------------------------------------------------
 
     def conj(self) -> "QuadExt":
         """The quadratic conjugate x - y*sqrt(d)."""
-        return QuadExt._trusted(self.x, -self.y, self.d)
+        return QuadExt._from_ints(self._X, -self._Y, self._k, self._Z)
 
     def norm(self) -> Fraction:
         """Field norm x^2 - d*y^2 (a rational)."""
-        return self.x * self.x - self.d * self.y * self.y
+        return Fraction(self._X * self._X - self._k * self._Y * self._Y, self._Z * self._Z)
 
     @property
     def is_rational(self) -> bool:
-        return self.y == 0
+        return not self._Y
 
     def sign(self) -> int:
         """Sign of the real value x + y*sqrt(d); requires d >= 0."""
-        if self.d < 0:
+        if self._k < 0:
             raise ValueError("sign undefined for complex QuadExt (d < 0)")
-        if self.y == 0:
-            return (self.x > 0) - (self.x < 0)
-        if self.x == 0:
-            return 1 if self.y > 0 else -1
-        if self.x > 0 and self.y > 0:
+        X, Y = self._X, self._Y  # Z > 0 does not change the sign
+        if Y == 0:
+            return (X > 0) - (X < 0)
+        if X == 0:
+            return 1 if Y > 0 else -1
+        if X > 0 and Y > 0:
             return 1
-        if self.x < 0 and self.y < 0:
+        if X < 0 and Y < 0:
             return -1
-        # Opposite signs: compare x^2 against d*y^2.
-        dominant_x = self.x * self.x > self.d * self.y * self.y
+        # Opposite signs: compare X^2 against k*Y^2.
+        dominant_x = X * X > self._k * Y * Y
         if dominant_x:
-            return 1 if self.x > 0 else -1
-        return 1 if self.y > 0 else -1
+            return 1 if X > 0 else -1
+        return 1 if Y > 0 else -1
 
     def to_complex(self) -> complex:
-        if self.d >= 0:
-            return complex(float(self.x) + float(self.y) * math.sqrt(float(self.d)))
-        return complex(float(self.x), float(self.y) * math.sqrt(-float(self.d)))
+        # X / Z is the correctly rounded float of the Fraction x, as float(x) is
+        x, y = self._X / self._Z, self._Y / self._Z
+        if self._k >= 0:
+            return complex(x + y * math.sqrt(self._k))
+        return complex(x, y * math.sqrt(-self._k))
 
     def __float__(self) -> float:
         z = self.to_complex()
@@ -266,7 +307,7 @@ class QuadExt:
         return z.real
 
     def __repr__(self):
-        if self.y == 0:
+        if not self._Y:
             return f"QuadExt({self.x})"
         return f"QuadExt({self.x} + {self.y}*sqrt({self.d}))"
 

@@ -109,18 +109,50 @@ def test_exit_two_on_missing_input(capsys, argv, message):
     assert "Traceback" not in err
 
 
+BIG_P = "3317044064679887385962177"  # a probable prime just above the Miller-Rabin bound
+UNDECIDED = (
+    f"error: primality of {BIG_P} is not decided: it passes Miller-Rabin on the first"
+    " 13 prime bases, which proves primality only below 3317044064679887385961981\n"
+)
+
+
 @pytest.mark.parametrize(
     "argv, stderr",
     [
         (("tco", "--p", "2"), "error: p=2 is a bad prime for 48a1\n"),
         (("match", "--curve", "256b2", "--p", "2"), "error: p=2 is a bad prime for 256b2\n"),
         (("cornacchia", "--p", "65"), "error: p=65 is not prime\n"),
+        (("cornacchia", "--p", BIG_P, "--format", "json"), UNDECIDED),
+        (("match", "--curve", "256b2", "--p", BIG_P), UNDECIDED),
     ],
 )
 def test_exit_two_on_bad_or_composite_prime(capsys, argv, stderr):
     # the bad-prime message names no library keyword; a composite p = 1 mod 4
-    # has no Cornacchia decomposition to offer
+    # has no Cornacchia decomposition to offer; a probable prime above the
+    # Miller-Rabin bound is not decided
     assert run(capsys, *argv) == (2, "", stderr)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("basepoint", "--ap", "0", "--p", "-3"),
+        ("d-off", "--w", "1", "--p", "-2"),
+        ("hasse", "--ap", "0", "--p", "0"),
+        ("disc-identity", "--ap", "0", "--p", "-1"),
+        ("match", "--ap", "0", "--p", "1"),
+        ("tco", "--ap", "0", "--p", "-5"),
+        ("tco", "--ap", "1", "--p", "0"),
+        ("d-off", "--w", "1", "--p", "0"),
+        ("reduce-check", "--ap", "0", "--p", "0"),
+        ("cornacchia", "--p", "1"),
+    ],
+)
+def test_exit_two_on_p_below_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    p = argv[argv.index("--p") + 1]
+    assert (code, out) == (2, "")
+    assert err.endswith(f"{argv[0]}: error: argument --p: p={p} must be >= 2\n")
 
 
 def test_exit_two_on_unconverged_series(capsys):
@@ -414,7 +446,7 @@ def test_cli_surface_is_pinned(capsys, monkeypatch):
         argv = [name, "--format", "json"]
         for action in SUBCOMMANDS[name]:
             if action.required:
-                argv += [action.option_strings[0], "1"]
+                argv += [action.option_strings[0], "2"]  # --p takes p >= 2
         for group in sub._mutually_exclusive_groups:
             argv += [group._group_actions[0].option_strings[0], "1"]
         assert main(argv) == 0, argv

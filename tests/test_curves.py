@@ -51,8 +51,16 @@ def test_is_prime_against_sieve_and_pseudoprimes():
     for n in (561, 1105, 3215031751, 318665857834031151167461):
         assert not is_prime(n), n
     assert is_prime(10**12 + 39) and is_prime(2**61 - 1)
-    # above the Miller-Rabin bound the answer comes from trial division
+    # above the Miller-Rabin bound a witness still proves a number composite
     assert not is_prime(47 * curves._MILLER_RABIN_BOUND)
+
+
+def test_is_prime_above_the_bound_proves_only_compositeness():
+    # two primes near 10^12 and 10^13: no small factor, product above the bound
+    assert not is_prime((10**12 + 39) * (10**13 + 37))
+    # a probable prime just above the bound is not decided, in microseconds
+    with pytest.raises(ValueError, match=f"only below {curves._MILLER_RABIN_BOUND}$"):
+        is_prime(3_317_044_064_679_887_385_962_177)
 
 
 # -- invariants ---------------------------------------------------------------

@@ -96,6 +96,91 @@ def test_quadext_pow_matches_repeated_product(z, n):
     assert z**n == expect
 
 
+# -- integer representation against a Fraction reference ----------------------
+
+
+# The reference works on pairs (x, y) of Fractions standing for x + y sqrt(d).
+
+
+def _ref_mul(a, b, d):
+    return a[0] * b[0] + d * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _ref_norm(a, d):
+    return a[0] * a[0] - d * a[1] * a[1]
+
+
+def _ref_div(a, b, d):
+    n = _ref_norm(b, d)
+    x, y = _ref_mul(a, (b[0], -b[1]), d)
+    return x / n, y / n
+
+
+def _ref_sign(a, d):
+    x, y = a
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx == sy or sy == 0:
+        return sx
+    if sx == 0:
+        return sy
+    n = _ref_norm(a, d)  # opposite signs: the larger of x^2 and d y^2 wins
+    return sx if n > 0 else sy
+
+
+def _assert_invariant(z):
+    assert z._Z > 0 and math.gcd(z._X, z._Y, z._Z) == 1
+    assert (z._k == 0) == (z._Y == 0)
+
+
+@given(radicands.flatmap(lambda d: st.tuples(quadexts(d=d), quadexts(d=d))),
+       st.integers(min_value=0, max_value=5))
+@settings(max_examples=150, deadline=None)
+def test_quadext_matches_fraction_reference(pair, n):
+    a, b = pair
+    d = a.d if a.y else b.d  # the common radicand
+    ra, rb = (a.x, a.y), (b.x, b.y)
+    power = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        power = _ref_mul(power, ra, d)
+    expect = [
+        (a + b, (ra[0] + rb[0], ra[1] + rb[1])),
+        (a - b, (ra[0] - rb[0], ra[1] - rb[1])),
+        (a * b, _ref_mul(ra, rb, d)),
+        (a**n, power),
+        (a.conj(), (ra[0], -ra[1])),
+        (-a, (-ra[0], -ra[1])),
+    ]
+    if b != 0:
+        expect.append((a / b, _ref_div(ra, rb, d)))
+    for z, (x, y) in expect:
+        _assert_invariant(z)
+        assert (z.x, z.y, z.d) == (x, y, d if y else 0), (z, x, y)
+    assert a.norm() == _ref_norm(ra, d)
+    if d >= 0:
+        assert a.sign() == _ref_sign(ra, d)
+
+
+@given(rationals)
+@settings(max_examples=60, deadline=None)
+def test_rational_quadext_hashes_like_fraction(q):
+    z = QuadExt(q)
+    _assert_invariant(z)
+    assert hash(z) == hash(q) and z == q and {z: 1}[q] == 1
+    assert hash(QuadExt(1, 2, 9)) == hash(7)  # 1 + 2 sqrt(9)
+
+
+@pytest.mark.parametrize("p", [10_000_019, 1_000_000_007])
+def test_canonical_match_exact_at_large_p(p):
+    from eulerpencil.matching import canonical_match_exact
+
+    bound = math.isqrt(4 * p)
+    for a_p in (-bound, -1, 0, 7, bound):
+        for branch in ("plus", "minus"):
+            tr, det, P = canonical_match_exact(a_p, p, branch)
+            assert tr == a_p and det == p, (a_p, p, branch)
+            assert tr.is_rational and det.is_rational and not P.is_rational
+
+
 def test_quadext_mixed_radicands_rejected():
     from eulerpencil.exactmath import MixedRadicandError
 
