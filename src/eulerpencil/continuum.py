@@ -8,8 +8,9 @@ functional equation).
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,49 +73,93 @@ def _check_off_cut(z: complex) -> complex:
     return z
 
 
+# Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK qk15; Piessens et al., QUADPACK,
+# Springer 1983): the Kronrod nodes x >= 0 from the outside in with their
+# weights, and the Gauss weights of x[1], x[3], x[5] and the centre.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# the same rules over all 15 nodes, left to right; the Gauss weight is 0 at
+# the nodes only Kronrod uses
+_X15 = tuple(-x for x in _XGK) + _XGK[6::-1]
+_K15 = _WGK + _WGK[6::-1]
+_G15 = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
+        0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0)
+_QUAD_LIMIT = 400  # subintervals
+
+
+def _gk15(f: Callable[[float], complex], a: float, b: float) -> tuple[complex, float]:
+    """QUADPACK's qk15 on [a, b]: the Kronrod value and its error estimate.
+
+    The estimate is |K15 - G7| scaled as QUADPACK does, floored at
+    50 eps sum|f| w so that round-off keeps it above 0.
+    """
+    h = 0.5 * (b - a)
+    c = a + h
+    fx = [f(c + h * x) for x in _X15]
+    kronrod = sum(w * fi for w, fi in zip(_K15, fx))
+    gauss = sum(w * fi for w, fi in zip(_G15, fx))
+    mean = 0.5 * kronrod
+    asc = h * sum(w * abs(fi - mean) for w, fi in zip(_K15, fx))
+    err = h * abs(kronrod - gauss)
+    if asc and err:
+        err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
+    floor = 50.0 * sys.float_info.epsilon * h * sum(w * abs(fi) for w, fi in zip(_K15, fx))
+    return h * kronrod, max(err, floor)
+
+
 def universality_integral(
     dispersion: Dispersion, z: complex, tol: float = 1e-10
 ) -> QuadratureResult:
     """Adaptive quadrature of int_0^inf w(xi) a(xi) / (z^2 - a(xi)^2) dxi
 
     with the arcsine weight w = a' / (pi sqrt(1 - a^2)).  Independent of the
-    dispersion; converges to arcsin(1/z)/(pi sqrt(z^2 - 1)).  Raises
-    ArithmeticError when the error estimate is not within tol; scipy's
-    IntegrationWarning goes into that message and never to stderr.
+    dispersion; converges to arcsin(1/z)/(pi sqrt(z^2 - 1)).
+
+    The rule is globally adaptive Gauss-Kronrod 7/15 (QUADPACK's qk15) on
+    xi = (1 - t)/t, t in (0, 1]: the subinterval with the largest error
+    estimate is bisected until the summed estimate is <= tol, with at most
+    400 subintervals.  Raises ArithmeticError when the estimate is not within
+    tol.  The tail xi -> inf sits at t -> 0, where floats are dense, so no
+    node rounds onto the endpoint.
     """
-    # scipy is imported here, not at module level: this is its only use, and
-    # it would otherwise dominate the start-up of every CLI process.
-    from scipy.integrate import IntegrationWarning, quad
-
     z = _check_off_cut(z)
-    z_sq = z * z
-    count = [0]
+    # a real z keeps the integrand real, so the value's imaginary part is +0.0
+    z_sq = z.real * z.real if z.imag == 0 else z * z
+    count = 0
 
-    def integrand(xi: float) -> complex:
-        count[0] += 1
+    def integrand(t: float) -> complex:
+        nonlocal count
+        count += 1
+        xi = (1.0 - t) / t
         a = dispersion.a(xi)
         oma = dispersion.one_minus_a_sq(xi)
         if oma <= 0.0:
             return 0.0
         w = dispersion.a_prime(xi) / (math.pi * math.sqrt(oma))
-        return w * a / (z_sq - a * a)
+        return w * a / ((z_sq - a * a) * t * t)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        re, re_err = quad(lambda x: integrand(x).real, 0.0, math.inf,
-                          epsabs=tol / 2, epsrel=tol / 2, limit=400)
-        if z.imag == 0:
-            im, im_err = 0.0, 0.0
-        else:
-            im, im_err = quad(lambda x: integrand(x).imag, 0.0, math.inf,
-                              epsabs=tol / 2, epsrel=tol / 2, limit=400)
-    err = re_err + im_err
-    if not err <= tol:  # a NaN estimate fails too
-        msg = f"quadrature error estimate {err:.3e} exceeds tol {tol:.3e}"
-        if caught:
-            msg += " (scipy: " + " ".join(str(caught[0].message).split()) + ")"
-        raise ArithmeticError(msg)
-    return QuadratureResult(value=complex(re, im), estimated_error=err, evaluations=count[0])
+    value, err = _gk15(integrand, 0.0, 1.0)
+    heap = [(-err, 0.0, 1.0, value)]
+    while not err <= tol and len(heap) < _QUAD_LIMIT:  # a NaN estimate goes on
+        neg_err, a, b, _ = heapq.heappop(heap)
+        err += neg_err
+        for lo, hi in ((a, 0.5 * (a + b)), (0.5 * (a + b), b)):
+            part, part_err = _gk15(integrand, lo, hi)
+            heapq.heappush(heap, (-part_err, lo, hi, part))
+            err += part_err
+    err = math.fsum(-e for e, *_ in heap)  # the running total carries round-off
+    if not err <= tol:
+        raise ArithmeticError(f"quadrature error estimate {err:.3e} exceeds tol {tol:.3e}")
+    return QuadratureResult(value=complex(sum(part for *_, part in heap)),
+                            estimated_error=err, evaluations=count)
 
 
 def arcsine_closed_form(z: complex) -> complex:

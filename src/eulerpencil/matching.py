@@ -103,8 +103,18 @@ def _lambda_from_u(tau, a_p: int, p: int, u: complex) -> complex:
     return 2 * u**3 / tau - a_p * u / (p * tau)
 
 
+def _branch_sign(branch: str) -> int:
+    """+1 for the "plus" root, -1 for "minus"; ValueError for anything else."""
+    if branch == "plus":
+        return 1
+    if branch == "minus":
+        return -1
+    raise ValueError(f"branch must be 'plus' or 'minus', not {branch!r}")
+
+
 def basepoint_solve(tau, delta, Delta, a_p: int, p: int, branch: str = "plus") -> Basepoint:
     """Numeric basepoint for general pencil invariants (tau != 0)."""
+    sign = _branch_sign(branch)
     A, B, C = master_quadratic(tau, delta, Delta, a_p, p)
     if A == 0:
         if B == 0:
@@ -112,7 +122,6 @@ def basepoint_solve(tau, delta, Delta, a_p: int, p: int, branch: str = "plus") -
         w = complex(-C / B)
     else:
         disc = cmath.sqrt(complex(B * B - 4 * A * C))
-        sign = 1 if branch == "plus" else -1
         w = (-complex(B) + sign * disc) / (2 * complex(A))
     u = cmath.sqrt(w)
     lam = _lambda_from_u(tau, a_p, p, u)
@@ -125,10 +134,10 @@ def canonical_basepoint(a_p: int, p: int, branch: str = "plus") -> Basepoint:
     Delta_p = 4p(p+1) - a_p^2 > 0 under Hasse; lambda = u^3 - (a_p/2p) u on
     the principal branch.
     """
+    sign = _branch_sign(branch)
     disc = 4 * p * (p + 1) - a_p * a_p
     if disc <= 0:
         raise HasseViolationError(f"Delta_p = {disc} <= 0 for (a_p={a_p}, p={p})")
-    sign = 1 if branch == "plus" else -1
     w = QuadExt(Fraction(a_p, 2 * p), Fraction(sign, 2 * p), Fraction(disc))
     u = cmath.sqrt(w.to_complex())
     lam = u**3 - a_p * u / (2 * p)

@@ -355,7 +355,7 @@ def test_package_import_loads_neither_scipy_nor_numpy():
 @pytest.mark.parametrize(
     "argv",
     [
-        ("universality", "--z", "2", "--format", "json"),  # loads scipy
+        ("universality", "--z", "2", "--format", "json"),  # pure-Python quadrature
         ("ap", "--curve", "256b2", "--max-p", "50", "--format", "json"),  # loads numpy
     ],
 )
@@ -366,8 +366,16 @@ def test_cold_process_matches_in_process(capsys, argv):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
+def test_verify_all_loads_no_scipy():
+    proc = _cold("-c", "import sys; from eulerpencil import cli; "
+                       "code = cli.main(['verify-all', '--format', 'json']); "
+                       "print('scipy' in sys.modules, code, file=sys.stderr)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False 0"
+
+
 def test_quadrature_failure_is_one_error_line():
-    # scipy's IntegrationWarning goes into the error message, not onto stderr
+    # an unconverged quadrature is one error line on stderr, with no warning
     proc = _cold("-m", "eulerpencil.cli", "universality", "--z", "2", "--tol", "1e-300")
     assert proc.returncode == 2 and not proc.stdout
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")

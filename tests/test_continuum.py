@@ -1,15 +1,17 @@
 """Dispersion universality, arcsine measure, and eta-identity tests."""
 
 import math
+import warnings
 
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from eulerpencil.continuum import (
     ALGEBRAIC,
     DISPERSIONS,
     TANH,
     BranchCutError,
+    _gk15,
     ConvergenceError,
     arcsine_cdf,
     arcsine_closed_form,
@@ -21,7 +23,31 @@ from eulerpencil.continuum import (
     universality_integral,
 )
 
-SAMPLE_Z = [2.0, 1.5, 3.0 + 0.5j, 1.2 + 1.0j, 0.5 + 2.0j]
+SAMPLE_Z = [2.0, 1.5, 3.0 + 0.5j, 1.2 + 1.0j, 0.5 + 2.0j,
+            # near the cut, near the origin, near the imaginary axis, far out
+            1.1, 0.5 + 0.1j, 1.001, 1.0001, 1 + 1e-6, 0.5 + 1e-4j, 0.9 + 1e-3j,
+            0.999 + 1e-6j, 0.3 + 0.01j, 0.01 + 0.01j, 1e-12 + 1j, 5 + 5j, 1e6]
+
+
+def _scipy_quad(dispersion, z, tol):
+    """The same integral by scipy's QUADPACK on xi in [0, inf), real and
+    imaginary parts apart: (value, error estimate), or None when it fails."""
+    def f(xi):
+        a = dispersion.a(xi)
+        oma = dispersion.one_minus_a_sq(xi)
+        if oma <= 0.0:
+            return 0j
+        return dispersion.a_prime(xi) / (math.pi * math.sqrt(oma)) * a / (z * z - a * a)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        re, re_err = quad(lambda x: f(x).real, 0.0, math.inf,
+                          epsabs=tol / 2, epsrel=tol / 2, limit=400)
+        im, im_err = quad(lambda x: f(x).imag, 0.0, math.inf,
+                          epsabs=tol / 2, epsrel=tol / 2, limit=400)
+    if not re_err + im_err <= tol:
+        return None
+    return complex(re, im), re_err + im_err
 
 
 # -- universality -------------------------------------------------------------
@@ -36,6 +62,42 @@ def test_universality_matches_closed_form(name, z):
     assert abs(result.value - expect) <= 1e-8 * max(1.0, abs(expect))
     assert result.estimated_error <= 1e-10
     assert result.evaluations > 0
+
+
+def test_gk15_exactness_and_error_floor():
+    # K15 is exact on x^n up to n = 23 (odd n by symmetry), G7 up to n = 13, so
+    # the estimate |K15 - G7| is round-off through n = 13 and large from n = 14
+    for n in range(24):
+        value, err = _gk15(lambda x: x**n, -1.0, 1.0)
+        assert abs(value - (1 + (-1) ** n) / (n + 1)) <= 1e-15
+        assert (err > 1e-3) == (n >= 14 and n % 2 == 0)
+    # where K15 and G7 agree to the last bit the estimate is the round-off floor, not 0
+    value, err = _gk15(lambda x: 3.0, 0.0, 1.0)
+    assert value == 3.0 and 0 < err <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(DISPERSIONS))
+@pytest.mark.parametrize("tol", [1e-9, 1e-10])
+def test_universality_succeeds_where_scipy_succeeds(name, tol):
+    failed_by_scipy = []
+    for z in SAMPLE_Z:
+        z = complex(z)
+        result = universality_integral(DISPERSIONS[name], z, tol)
+        oracle = _scipy_quad(DISPERSIONS[name], z, tol)
+        if oracle is None:
+            failed_by_scipy.append(z)
+        else:
+            assert abs(result.value - oracle[0]) <= tol + oracle[1] + result.estimated_error
+    # scipy fails only at a few points close to the cut, so the comparison is not vacuous
+    assert len(failed_by_scipy) < len(SAMPLE_Z) // 2
+
+
+@pytest.mark.parametrize("name", sorted(DISPERSIONS))
+@pytest.mark.parametrize("tol", [1e-300, 0.0, -1.0])
+def test_universality_unreachable_tol_raises(name, tol):
+    # 400 subintervals cannot bring the estimate, floored by round-off, to tol
+    with pytest.raises(ArithmeticError, match="quadrature error estimate .* exceeds tol"):
+        universality_integral(DISPERSIONS[name], 2.0, tol)
 
 
 def test_universality_two_dispersions_agree():

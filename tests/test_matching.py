@@ -131,6 +131,18 @@ def test_euler_match_verify_unknown_preset():
         euler_match_verify("weird", 1, 5)
 
 
+@pytest.mark.parametrize("branch", ["Plus", "up", "", "minus "])
+def test_unknown_branch_rejected(branch):
+    # neither root is picked silently under a misspelt name
+    for call in (lambda: canonical_basepoint(-4, 5, branch),
+                 lambda: basepoint_solve(3, 1, Fraction(1, 2), -2, 7, branch),
+                 lambda: canonical_match_exact(-4, 5, branch),
+                 lambda: euler_match_verify("canonical", -4, 5, branch),
+                 lambda: euler_match_verify((3, 1, Fraction(1, 2)), -2, 7, branch)):
+        with pytest.raises(ValueError, match="branch must be"):
+            call()
+
+
 # -- symbolic reduction -------------------------------------------------------
 
 
