@@ -169,12 +169,18 @@ def arcsine_closed_form(z: complex) -> complex:
     where 1/z overflows).
     """
     z = _check_off_cut(z)
-    w = 1 / z
-    root = cmath.sqrt(1 - w * w)
-    # principal arcsin continued by the log form for |w| > 1
-    asn = -1j * cmath.log(1j * w + root)
-    # sqrt(z^2 - 1) = z sqrt(1 - w^2) for Re z > 0, without squaring a large z
-    value = asn / (math.pi * z * root)
+    if z.imag == 0:
+        # real z > 1: the real branch, with no round-off left in an imaginary
+        # part and no cancellation in 1 - 1/z^2 near the cut
+        x = z.real
+        value = complex(math.asin(1 / x) / (math.pi * math.sqrt(x - 1) * math.sqrt(x + 1)))
+    else:
+        w = 1 / z
+        root = cmath.sqrt(1 - w * w)
+        # principal arcsin continued by the log form for |w| > 1
+        asn = -1j * cmath.log(1j * w + root)
+        # sqrt(z^2 - 1) = z sqrt(1 - w^2) for Re z > 0, without squaring a large z
+        value = asn / (math.pi * z * root)
     if not cmath.isfinite(value):
         raise ArithmeticError(f"arcsine closed form at z = {z} is not finite")
     return value

@@ -4,9 +4,10 @@ The Frobenius trace ``ap_count`` is the ground truth for every matching and
 statistical test.  It takes one of three paths, chosen from p and the
 curve's j:
 
-- Legendre: p <= ``_SHANKS_MESTRE_MIN_P`` and forced counts at bad primes,
-  the O(p) Legendre-symbol sweep (exhaustive enumeration at p = 2).  The
-  tests keep it as the oracle for the two fast paths.
+- Legendre: p <= ``_SHANKS_MESTRE_MIN_P`` = 229 (Mestre's bound) and forced
+  counts at bad primes, the O(p) Legendre-symbol sweep in pure Python
+  (exhaustive enumeration at p = 2).  The tests hold the two fast paths to
+  a Legendre count.
 - CM: larger good primes of a curve whose j is in ``CM_DISCRIMINANTS`` (the
   13 rational CM j-invariants).  a_p = 0 at an inert prime; at a split prime
   Cornacchia gives a_p up to a unit, and one or two points pick it, in
@@ -22,11 +23,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
+from itertools import accumulate, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .exactmath import Rational, _as_fraction
@@ -204,9 +207,9 @@ def is_good_prime(curve: WeierstrassCurve, p: int) -> bool:
 def ap_count(curve: WeierstrassCurve, p: int, force: bool = False) -> int:
     """Frobenius trace a_p = p + 1 - #E(F_p), by one of three paths.
 
-    - Legendre: p <= ``_SHANKS_MESTRE_MIN_P``, and every call with
+    - Legendre: p <= ``_SHANKS_MESTRE_MIN_P`` = 229, and every call with
       force=True (bad reduction), go through the O(p) Legendre-symbol sweep
-      ``_ap_legendre``, the oracle the tests hold both fast paths to.
+      ``_ap_legendre``.
     - CM: good primes above the cutoff on a curve with CM (its j is in
       ``CM_DISCRIMINANTS``) go through ``_ap_cm``: a_p = 0 at an inert prime,
       Cornacchia and a point check at a split one, O(log^2 p) operations.
@@ -252,7 +255,9 @@ def _ap_legendre(curve: WeierstrassCurve, p: int) -> int:
     """a_p by direct point counting at any prime, good or bad.
 
     Odd p: complete the square, g(x) = 4(x^3+a2 x^2+a4 x+a6) + (a1 x+a3)^2,
-    and a_p = -sum_x chi_p(g(x)) with chi_p the Legendre symbol.  p = 2:
+    and a_p = -sum_x chi_p(g(x)) with chi_p the Legendre symbol, read from a
+    table of the squares mod p.  g runs over x = 0..p-1 by finite
+    differences (its third difference is the constant 24).  p = 2:
     exhaustive enumeration.
     """
     a1, a2, a3, a4, a6 = (_coeff_mod(c, p) for c in
@@ -266,15 +271,15 @@ def _ap_legendre(curve: WeierstrassCurve, p: int) -> int:
                 if lhs == rhs:
                     count += 1
         return p + 1 - count
-    import numpy as np  # imported here so that importing eulerpencil stays cheap
-
-    x = np.arange(p, dtype=np.int64)
-    cubic = (x * x % p * x + a2 * x * x + a4 * x + a6) % p
-    g = (4 * cubic + (a1 * x + a3) ** 2) % p
-    is_square = np.zeros(p, dtype=bool)
-    is_square[x * x % p] = True
-    chi = np.where(g == 0, 0, np.where(is_square[g], 1, -1))
-    return -int(chi.sum())
+    chi = [-1] * p
+    chi[0] = 0
+    for x in range(1, (p + 1) // 2):
+        chi[x * x % p] = 1
+    # g(x) = 4 x^3 + c2 x^2 + c1 x + c0
+    c2, c1, c0 = (4 * a2 + a1 * a1) % p, (4 * a4 + 2 * a1 * a3) % p, (4 * a6 + a3 * a3) % p
+    d2 = accumulate(repeat(24), initial=24 + 2 * c2)  # second differences
+    g = accumulate(accumulate(d2, initial=4 + c2 + c1), initial=c0)
+    return -sum(map(chi.__getitem__, map(operator.mod, islice(g, p), repeat(p))))
 
 
 # Shanks-Mestre.  Mestre's theorem: for p > 229, E or its quadratic twist E'
@@ -283,11 +288,12 @@ def _ap_legendre(curve: WeierstrassCurve, p: int) -> int:
 # a single #E.  Points are affine (x, y) tuples over F_p, None is the point at
 # infinity, and ``a`` is the x-coefficient of the short model they lie on.
 
-#: Good primes above this are counted by Shanks-Mestre, the rest by the
-#: Legendre sweep.  Must be >= 229 (Mestre's bound).  The two paths cross
-#: near p ~ 1000: about 60-80 us per prime each on a 2-CPU x86-64 VM, against
-#: 1.0-1.7 ms (Legendre) and 0.08-0.12 ms (Shanks-Mestre) at p ~ 3e4.
-_SHANKS_MESTRE_MIN_P = 1000
+#: Good primes above this are counted by Shanks-Mestre (or the CM path), the
+#: rest by the Legendre sweep.  Must be >= 229 (Mestre's bound), and sits on
+#: it because the fast paths already win there: per prime on a 2-CPU x86-64
+#: VM (CPython 3.11), the pure-Python Legendre sweep takes ~26 us at p ~ 230
+#: and ~115 us at p ~ 1000, Shanks-Mestre ~13 and ~25 us, the CM path 4-14 us.
+_SHANKS_MESTRE_MIN_P = 229
 
 
 def _ec_add(P, Q, a: int, p: int):

@@ -407,8 +407,9 @@ class LaurentBiPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -443,13 +444,26 @@ class LaurentBiPoly:
         )
 
     def subs_lambda(self, lam_value: "LaurentBiPoly") -> "LaurentBiPoly":
-        """Substitute lambda by a polynomial in u (lambda-degree 0)."""
+        """Substitute lambda by a polynomial in u (lambda-degree 0).
+
+        The terms are grouped by lambda-exponent and ``lam_value`` is raised
+        one power at a time, so each lambda-degree costs one multiplication;
+        the products accumulate in one dict of u-exponents.
+        """
         if any(jl for (_, jl) in lam_value.terms):
             raise ValueError("substitution value must be lambda-free")
-        out = LaurentBiPoly.zero()
+        by_jl: dict[int, list[tuple[int, Fraction]]] = {}
         for (ju, jl), c in self.terms.items():
-            out = out + LaurentBiPoly.term(c, ju) * (lam_value**jl)
-        return out
+            by_jl.setdefault(jl, []).append((ju, c))
+        out: dict[tuple[int, int], Fraction] = {}
+        power = LaurentBiPoly.one()  # lam_value**jl
+        for jl in range(max(by_jl, default=-1) + 1):
+            if jl:
+                power = power * lam_value
+            for ju, c in by_jl.get(jl, ()):
+                for (ku, _), d in power.terms.items():
+                    out[(ju + ku, 0)] = out.get((ju + ku, 0), 0) + c * d
+        return LaurentBiPoly(out)
 
     def evaluate(self, u, lam):
         """Evaluate at scalars (complex, Fraction or QuadExt)."""

@@ -356,7 +356,7 @@ def test_package_import_loads_neither_scipy_nor_numpy():
     "argv",
     [
         ("universality", "--z", "2", "--format", "json"),  # pure-Python quadrature
-        ("ap", "--curve", "256b2", "--max-p", "50", "--format", "json"),  # loads numpy
+        ("ap", "--curve", "256b2", "--max-p", "50", "--format", "json"),  # pure-Python count
     ],
 )
 def test_cold_process_matches_in_process(capsys, argv):
@@ -367,11 +367,14 @@ def test_cold_process_matches_in_process(capsys, argv):
 
 
 def test_verify_all_loads_no_scipy():
-    proc = _cold("-c", "import sys; from eulerpencil import cli; "
-                       "code = cli.main(['verify-all', '--format', 'json']); "
-                       "print('scipy' in sys.modules, code, file=sys.stderr)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == "False 0"
+    # neither numpy nor scipy, in a cold verify-all and a cold Legendre/CM count
+    for argv in (["verify-all"], ["ap", "--curve", "256b2", "--max-p", "700"]):
+        proc = _cold("-c", "import sys; from eulerpencil import cli; "
+                           f"code = cli.main({argv + ['--format', 'json']!r}); "
+                           "print(sorted({'numpy', 'scipy'} & set(sys.modules)), code, "
+                           "file=sys.stderr)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "[] 0", argv
 
 
 def test_quadrature_failure_is_one_error_line():

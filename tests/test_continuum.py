@@ -1,5 +1,6 @@
 """Dispersion universality, arcsine measure, and eta-identity tests."""
 
+import cmath
 import math
 import warnings
 
@@ -123,6 +124,17 @@ def test_arcsine_closed_form_extreme_z():
         assert math.isfinite(value.real) and math.isfinite(value.imag)
     with pytest.raises(ArithmeticError):  # 1/z overflows
         arcsine_closed_form(1e-200 + 1e-200j)
+
+
+@pytest.mark.parametrize("z", [1.0001, 1.001, 2.0, 1e3, 1e6])
+def test_arcsine_closed_form_real_z_is_real(z):
+    # the complex log form, whose imaginary part at real z is round-off only
+    w = 1 / complex(z)
+    root = cmath.sqrt(1 - w * w)
+    reference = -1j * cmath.log(1j * w + root) / (math.pi * z * root)
+    value = arcsine_closed_form(z)
+    assert value.imag == 0.0
+    assert abs(value.real - reference.real) <= 1e-12 * abs(reference)
 
 
 # -- arcsine measure ----------------------------------------------------------

@@ -165,35 +165,49 @@ def test_build_ap_table_matches_single_counts():
 # -- Shanks-Mestre against the Legendre oracle ---------------------------------
 
 
-def test_shanks_mestre_matches_legendre_on_catalogue():
-    # every catalogue model, every good p <= 10^4; below the cutoff, where
-    # ap_count is the Legendre sweep itself, the fast path from Mestre's
-    # bound p > 229 up
+def _criterion_4_curves():
+    """The seeded random short curves of acceptance criterion 4."""
+    rng = random.Random(20260823)
+    out = []
+    while len(out) < 50:
+        A, B = rng.randint(-20, 20), rng.randint(-20, 20)
+        if 4 * A**3 + 27 * B**2 != 0:
+            out.append(WeierstrassCurve.short(A, B))
+    return out
+
+
+def test_ap_legendre_matches_numpy_oracle(legendre_oracle):
+    # the library's pure-Python count at every good p <= 1000, on every
+    # catalogue model and the criterion-4 curves
+    models = [e.curve for e in load_catalogue() if e.model is not None]
+    for curve in models + _criterion_4_curves():
+        for p in good_primes(curve, 1000):
+            assert curves._ap_legendre(curve, p) == legendre_oracle(curve, p), (curve, p)
+
+
+def test_shanks_mestre_matches_legendre_on_catalogue(legendre_oracle):
+    # every catalogue model, every good p <= 10^4, on the path ap_count takes;
+    # and Shanks-Mestre itself from Mestre's bound p > 229 up to 1000, where
+    # the CM models take the CM path
     for entry in load_catalogue():
         if entry.model is None:
             continue
         curve = entry.curve
         for p in good_primes(curve, 10_000):
-            expect = curves._ap_legendre(curve, p)
+            expect = legendre_oracle(curve, p)
             assert ap_count(curve, p) == expect, (entry.label, p)
-            if 229 < p <= curves._SHANKS_MESTRE_MIN_P:
+            if 229 < p <= 1000:
                 assert curves._ap_shanks_mestre(curve, p) == expect, (entry.label, p)
 
 
-def test_shanks_mestre_matches_legendre_on_criterion_4_curves():
+def test_shanks_mestre_matches_legendre_on_criterion_4_curves(legendre_oracle):
     # the seeded random short curves of acceptance criterion 4, p in (229, 3000]
-    rng = random.Random(20260823)
     primes = [p for p in primes_upto(3000) if p > 229]
-    for _ in range(50):
-        while True:
-            A, B = rng.randint(-20, 20), rng.randint(-20, 20)
-            if 4 * A**3 + 27 * B**2 != 0:
-                break
-        curve = WeierstrassCurve.short(A, B)
+    for curve in _criterion_4_curves():
         for p in primes:
             if is_good_prime(curve, p):
-                expect = curves._ap_legendre(curve, p)
-                assert curves._ap_shanks_mestre(curve, p) == expect, (A, B, p)
+                expect = legendre_oracle(curve, p)
+                assert curves._ap_shanks_mestre(curve, p) == expect, (curve, p)
 
 
 _PRIMES_1E5 = [p for p in primes_upto(100_000) if p > 3]
@@ -205,12 +219,12 @@ _PRIMES_1E5 = [p for p in primes_upto(100_000) if p > 3]
     st.sampled_from(_PRIMES_1E5),
 )
 @settings(max_examples=30, deadline=None)
-def test_ap_count_agrees_with_legendre_random_curves(a4, a6, p):
+def test_ap_count_agrees_with_legendre_random_curves(legendre_oracle, a4, a6, p):
     assume(4 * a4**3 + 27 * a6**2 != 0)
     curve = WeierstrassCurve.short(a4, a6)
     assume(is_good_prime(curve, p))
     a_p = ap_count(curve, p)
-    assert a_p == curves._ap_legendre(curve, p)
+    assert a_p == legendre_oracle(curve, p)
     assert hasse_check(a_p, p)
 
 
@@ -225,20 +239,22 @@ def test_ap_count_paths_by_prime(monkeypatch):
 
     monkeypatch.setattr(curves, "_ap_shanks_mestre", refuse)
     assert ap_count(curve, 1009, force=True) == legendre
-    assert ap_count(curve, 997) == curves._ap_legendre(curve, 997)
+    assert curves._SHANKS_MESTRE_MIN_P >= 227 and is_good_prime(curve, 227)
+    assert ap_count(curve, 227) == curves._ap_legendre(curve, 227)
     monkeypatch.undo()
+    above = [curves._ap_legendre(curve, p) for p in (233, 1019)]
     monkeypatch.setattr(curves, "_ap_legendre", refuse)
-    assert curves._SHANKS_MESTRE_MIN_P < 1019 and is_good_prime(curve, 1019)
-    ap_count(curve, 1019)
+    assert curves._SHANKS_MESTRE_MIN_P < 233 and is_good_prime(curve, 233)
+    assert [ap_count(curve, p) for p in (233, 1019)] == above
 
 
-@pytest.mark.parametrize("p", [997, 1009, 1019])
+@pytest.mark.parametrize("p", [227, 997, 1009, 1019])
 def test_ap_count_rejects_model_not_integral_at_good_prime(p):
     # y^2 = (x + u)^3 + (x + u) + 1 with u = 1/p is y^2 = x^3 + x + 1 moved by
     # x -> x + u: same c4, c6 and discriminant, so p is good, but the model
-    # does not reduce mod p, on either side of the counting cutoff.  The same
-    # move on y^2 = x^3 - x (CM by Z[i]) reaches the CM path above the
-    # cutoff, at a split (1009) and at an inert (1019) prime.
+    # does not reduce mod p, on either side of the counting cutoff (227 below
+    # it).  The same move on y^2 = x^3 - x (CM by Z[i]) reaches the CM path
+    # above the cutoff, at split (997, 1009) and inert (1019) primes.
     u = Fraction(1, p)
     for model in ([0, 3 * u, 0, 3 * u * u + 1, u**3 + u + 1],
                   [0, 3 * u, 0, 3 * u * u - 1, u**3 - u]):
@@ -261,7 +277,7 @@ def _curve_with_j(j: int) -> WeierstrassCurve:
 
 
 def test_cm_path_matches_shanks_mestre_on_cm_catalogue():
-    # every prime in (1000, 3e4] of the catalogue's CM models, inert and split
+    # every prime in (229, 3e4] of the catalogue's CM models, inert and split
     for label in ("256b2", "32a2", "2304b1", "27a3"):
         curve = catalogue_entry(label).curve
         D = cm_discriminant(curve)

@@ -286,13 +286,13 @@ def test_quad_roots_canonical_p5_oracle():
 
 
 @st.composite
-def laurents(draw):
+def laurents(draw, max_lam=3):
     n = draw(st.integers(min_value=0, max_value=4))
     terms = {}
     for _ in range(n):
         key = (
             draw(st.integers(min_value=-3, max_value=4)),
-            draw(st.integers(min_value=0, max_value=3)),
+            draw(st.integers(min_value=0, max_value=max_lam)),
         )
         terms[key] = draw(rationals)
     return LaurentBiPoly(terms)
@@ -307,6 +307,45 @@ def test_laurent_ring_laws(f, g, h):
     assert (f * g) * h == f * (g * h)
     assert f + LaurentBiPoly.zero() == f
     assert f * LaurentBiPoly.one() == f
+
+
+@given(laurents(), st.integers(min_value=0, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_laurent_pow_matches_repeated_product(f, n):
+    expect = LaurentBiPoly.one()
+    for _ in range(n):
+        expect = expect * f
+    calls = []
+    mul = LaurentBiPoly.__mul__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LaurentBiPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        assert f**n == expect
+    # one product per set bit and one squaring per bit below the top one
+    assert len(calls) == (n.bit_length() - 1 + bin(n).count("1") if n else 0)
+
+
+@given(laurents(), laurents(max_lam=0))
+@example(LaurentBiPoly({(1, 0): 2, (-2, 0): Fraction(1, 3)}), LaurentBiPoly())
+@example(LaurentBiPoly({(0, 3): 1, (-1, 1): Fraction(-2, 5), (2, 0): 3}),
+         LaurentBiPoly({(2, 0): 1, (-1, 0): Fraction(3, 2), (0, 0): -1}))
+@settings(max_examples=80, deadline=None)
+def test_subs_lambda_matches_naive_sum(f, lam):
+    # sum of c u^ju L^jl, with L^jl by repeated multiplication: u-exponents of
+    # either side may be negative, the lambda-degrees of f may have gaps or be
+    # 0 only, and L may have several terms or none
+    expect = LaurentBiPoly.zero()
+    for (ju, jl), c in f.terms.items():
+        piece = LaurentBiPoly.term(c, ju)
+        for _ in range(jl):
+            piece = piece * lam
+        expect = expect + piece
+    assert f.subs_lambda(lam) == expect
+
+
+def test_subs_lambda_rejects_lambda_in_value():
+    f = LaurentBiPoly({(1, 2): 3})
+    with pytest.raises(ValueError, match="lambda-free"):
+        f.subs_lambda(LaurentBiPoly({(2, 0): 1, (0, 1): 1}))
 
 
 @given(laurents(), laurents())

@@ -210,6 +210,32 @@ def test_monomial_gram8_bad_eps():
         monomial_gram8(2, 1)
 
 
+def test_exact_rank_matches_numpy():
+    import numpy as np
+
+    rng = random.Random(5)
+    for _ in range(200):
+        n, m, r = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 4)
+        # a product of n x r and r x m factors has rank <= r
+        left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(r)] for _ in range(n)]
+        right = [[Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(r)]
+        M = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)]
+             if r else [Fraction(0)] * m for row in left]
+        assert pencil_mod._rank(M) == np.linalg.matrix_rank(np.array(M, dtype=float))
+
+
+@pytest.mark.parametrize("tr, det, roots", [(5, 6, [2, 3]), (0, -4, [-2, 2]), (4, 4, [2, 2]),
+                                            (1, 1, None), (0, -2, None),
+                                            (Fraction(1, 2), 0, None), (1, Fraction(1, 4), None)])
+def test_integer_eigenvalues2(tr, det, roots):
+    # roots of x^2 - tr x + det, or ArithmeticError when one is not an integer
+    if roots is None:
+        with pytest.raises(ArithmeticError, match="no integer roots"):
+            pencil_mod._integer_eigenvalues2(Fraction(tr), Fraction(det))
+    else:
+        assert pencil_mod._integer_eigenvalues2(Fraction(tr), Fraction(det)) == roots
+
+
 # -- j-map --------------------------------------------------------------------
 
 

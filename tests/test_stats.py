@@ -6,7 +6,6 @@ from decimal import Decimal, localcontext
 import pytest
 
 from eulerpencil.continuum import arcsine_cdf
-from eulerpencil import curves
 from eulerpencil.curves import catalogue_entry, primes_upto
 from eulerpencil.stats import (
     EPSILON_BOUND_C,
@@ -45,7 +44,7 @@ def test_series_rows_and_classes(series_1e4):
         assert abs(r.u * r.u - r.w_plus) <= 1e-12
 
 
-def test_series_d3_classes_from_cm_discriminant():
+def test_series_d3_classes_from_cm_discriminant(legendre_oracle):
     # [DERIVED] 27a3 has CM by Z[zeta_3]: p inert iff p = 2 mod 3, and every
     # inert good prime (p = 2 included) has a point-counted a_p = 0
     curve = catalogue_entry("27a3").curve
@@ -56,7 +55,7 @@ def test_series_d3_classes_from_cm_discriminant():
         assert r.cls == ("inert" if r.p % 3 == 2 else "split")
         assert (r.a_p == 0) == (r.cls == "inert")
         if r.cls == "inert":
-            assert curves._ap_legendre(curve, r.p) == 0
+            assert legendre_oracle(curve, r.p) == 0
 
 
 def test_series_non_cm_keeps_mod_4_classes():
