@@ -7,12 +7,11 @@ CM Sato-Tate, accumulation).
 """
 
 from .exactmath import (
-    LaurentBiPoly,
+    LaurentPoly,
     Matrix2,
     QuadExt,
     Rational,
     group_pseudoinverse2,
-    poly_divrem,
     quad_roots,
     residue_at_zero,
 )
@@ -49,6 +48,7 @@ from .pencil import (
 from .matching import (
     Basepoint,
     MatchReport,
+    basepoint_for,
     basepoint_solve,
     canonical_basepoint,
     cd_matching_ratio,

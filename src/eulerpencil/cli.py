@@ -313,11 +313,7 @@ def cmd_j1728_q(args):
 
 @command("basepoint", opt("--pencil"), AP, P, BRANCH)
 def cmd_basepoint(args):
-    if args.pencil:
-        bp = matching.basepoint_solve(*resolve_pencil_params(args), args.ap, args.p,
-                                      args.branch)
-    else:
-        bp = matching.canonical_basepoint(args.ap, args.p, args.branch)
+    bp = matching.basepoint_for(resolve_pencil_params(args), args.ap, args.p, args.branch)
     return _basepoint_payload(bp)
 
 

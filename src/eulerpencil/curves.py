@@ -400,37 +400,44 @@ def _progression_hits(Q, R, count: int, a: int, p: int) -> list[int]:
     return [t for t in hits if 0 <= t < count]
 
 
+def _twist_points(A: int, B: int, p: int) -> Iterator[tuple[tuple[int, int], int, bool]]:
+    """(P, a, on_twist) for x = 1, ..., p - 1 with f = x^3 + A x + B != 0 mod p.
+
+    P = (x f, f^2) is on y^2 = X^3 + a X + B f^3, a = A f^2: on y^2 = x^3 + A x + B
+    if f is a square mod p, else on its twist.  x = 0 is skipped: on j = 0
+    curves (A = 0) it always gives a point of order 3.
+    """
+    half = (p - 1) // 2
+    for x in range(1, p):
+        f = ((x * x + A) * x + B) % p
+        if f == 0:
+            continue
+        ff = f * f % p
+        yield (x * f % p, ff), A * ff % p, pow(f, half, p) != 1
+
+
 def _ap_shanks_mestre(curve: WeierstrassCurve, p: int) -> int:
     """a_p at a good prime p > 229 (p > 3) by Shanks-Mestre.
 
-    Works on the short model y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6.
-    For x = 1, 2, ... with f = f(x) != 0, (x f, f^2) lies on
-    y^2 = X^3 + A f^2 X + B f^3, which is E if f is a square mod p and the
-    twist E' (#E' = 2p + 2 - #E) if not.  The candidates for #E stay an
+    Works on the short model y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6,
+    with the points of ``_twist_points``: on E, or on the twist E'
+    (#E' = 2p + 2 - #E).  The candidates for #E stay an
     arithmetic progression start + t step, 0 <= t < count, narrowed by each
     point until one is left.  Falls back to the Legendre sweep if x reaches p.
     """
     A, B = _short_model_mod(curve, p)
     r = math.isqrt(4 * p)
     start, step, count = p + 1 - r, 1, 2 * r + 1
-    half = (p - 1) // 2
-    # x = 0 is skipped: on j = 0 curves (A = 0) it always gives a point of order 3.
-    for x in range(1, p):
-        f = ((x * x + A) * x + B) % p
-        if f == 0:
-            continue
-        ff = f * f % p
-        P = (x * f % p, ff)
-        a = A * ff % p
+    for P, a, on_twist in _twist_points(A, B, p):
         R = _ec_mul(step, P, a, p)
-        if pow(f, half, p) == 1:
-            Q = _ec_mul(start, P, a, p)
-        else:
+        if on_twist:
             Q = _ec_mul(2 * p + 2 - start, P, a, p)
             R = None if R is None else (R[0], -R[1] % p)
+        else:
+            Q = _ec_mul(start, P, a, p)
         hits = _progression_hits(Q, R, count, a, p)
         if not hits:
-            raise ArithmeticError(f"no group order of {curve} at p={p} fits point x={x}")
+            raise ArithmeticError(f"no group order of {curve} at p={p} fits point {P}")
         start += hits[0] * step
         if len(hits) == 1:
             return p + 1 - start
@@ -490,8 +497,8 @@ def _ap_cm(curve: WeierstrassCurve, p: int, D: int, split: bool) -> int:
     4p = t^2 + |D| s^2 fixes a_p up to a unit: the candidates are {+-t}, for
     D = -4 also {+-2s} and for D = -3 also {+-(t + 3s)/2, +-(t - 3s)/2}.
     A point P of the short model keeps the candidates c with
-    [p + 1] P = [c] P; points are taken as in ``_ap_shanks_mestre``, so a
-    point of the quadratic twist keeps the negated candidates.  Points are
+    [p + 1] P = [c] P; points come from ``_twist_points``, and a point of
+    the quadratic twist keeps the negated candidates.  Points are
     drawn until one candidate is left (Mestre's theorem bounds this for
     p > 229, as for Shanks-Mestre).
     """
@@ -506,15 +513,8 @@ def _ap_cm(curve: WeierstrassCurve, p: int, D: int, split: bool) -> int:
         left = {t, -t, u, -u, v, -v}
     else:
         left = {t, -t}
-    half = (p - 1) // 2
-    for x in range(1, p):
-        f = ((x * x + A) * x + B) % p
-        if f == 0:
-            continue
-        ff = f * f % p
-        P = (x * f % p, ff)
-        a = A * ff % p
-        sign = 1 if pow(f, half, p) == 1 else -1
+    for P, a, on_twist in _twist_points(A, B, p):
+        sign = -1 if on_twist else 1
         Q = _ec_mul(p + 1, P, a, p)
         fits = set()
         for m in {abs(c) for c in left}:
@@ -525,7 +525,7 @@ def _ap_cm(curve: WeierstrassCurve, p: int, D: int, split: bool) -> int:
                 fits.add(-sign * m)
         left &= fits
         if not left:
-            raise ArithmeticError(f"no CM trace of {curve} at p={p} fits point x={x}")
+            raise ArithmeticError(f"no CM trace of {curve} at p={p} fits point {P}")
         if len(left) == 1:
             return left.pop()
     return _ap_legendre(curve, p)
@@ -676,7 +676,10 @@ def _parse_rational(s) -> Rational:
 
 
 def load_catalogue(path: Optional[str] = None) -> list[CatalogueEntry]:
-    """Load the curve/pencil catalogue (seed file, env override, or path)."""
+    """Load the curve/pencil catalogue (seed file, env override, or path).
+
+    A row's cm_discriminant defaults to, and must equal, CM_DISCRIMINANTS[j].
+    """
     if path is None:
         path = os.environ.get(ENV_CATALOGUE)
     if path is None:
@@ -693,11 +696,15 @@ def load_catalogue(path: Optional[str] = None) -> list[CatalogueEntry]:
             if row.get("pencil_params")
             else None
         )
+        D = CM_DISCRIMINANTS.get(j)
+        if row.get("cm_discriminant", D) != D:
+            raise ValueError(f"catalogue entry {row['label']}: stored cm_discriminant"
+                             f" {row['cm_discriminant']} != {D}, the CM discriminant of j = {j}")
         entry = CatalogueEntry(
             label=row["label"],
             model=model,
             j=j,
-            cm_discriminant=row.get("cm_discriminant"),
+            cm_discriminant=D,
             pencil_params=pencil,
             source=row.get("source", ""),
         )

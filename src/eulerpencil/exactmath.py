@@ -1,7 +1,7 @@
 """Exact and floating scalar arithmetic for the pencil algebra.
 
 Provides the exact verification tier (rationals, quadratic extensions
-x + y*sqrt(d), bivariate Laurent polynomials in (u, lambda)) and small
+x + y*sqrt(d), Laurent polynomials in named variables) and small
 generic 2x2 matrix operations.  All values are immutable after
 construction.
 """
@@ -9,6 +9,7 @@ construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -327,82 +328,103 @@ def quad_roots(A: Scalar, B: Scalar, C: Scalar) -> tuple[QuadExt, QuadExt]:
     return plus, minus
 
 
-class LaurentBiPoly:
-    """Bivariate Laurent polynomial in (u, lambda) over the rationals.
+#: The default variables of a LaurentPoly, those of the spectral polynomial.
+UL = ("u", "lam")
 
-    u-exponents range over the integers; lambda-exponents are non-negative.
-    Instances are treated as immutable: the term map is never mutated after
-    construction.
+
+class LaurentPoly:
+    """Sparse Laurent polynomial over the rationals in named variables.
+
+    ``terms`` maps exponent tuples, one integer per name in ``vars``, to
+    nonzero Fractions.  Exponents may be negative, so single terms are units
+    and ``/`` divides by them only.  A constructor coefficient may itself be
+    a LaurentPoly; it is multiplied out.  Operands over different names
+    combine over the union of the names (the left one's first), so a name
+    with exponent 0 throughout changes nothing.  Treated as immutable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "vars")
 
-    def __init__(self, terms: dict[tuple[int, int], Scalar] | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (ju, jl), coeff in (terms or {}).items():
-            if jl < 0:
-                raise ValueError("lambda exponents must be non-negative")
-            c = _as_fraction(coeff)
-            if c != 0:
-                clean[(int(ju), int(jl))] = c
-        self.terms = clean
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def term(cls, coeff: Scalar, u_exp: int = 0, lam_exp: int = 0) -> "LaurentBiPoly":
-        return cls({(u_exp, lam_exp): coeff})
+    def __init__(self, terms: dict | None = None, vars: tuple[str, ...] = UL):
+        clean, inner = {}, []
+        for key, c in (terms or {}).items():
+            if len(key) != len(vars):
+                raise ValueError(f"exponents {key} do not match variables {vars}")
+            if isinstance(c, LaurentPoly):
+                inner.append((key, c))
+            elif c := _as_fraction(c):
+                clean[key] = c
+        self.terms, self.vars = clean, vars
+        for key, c in inner:
+            total = self + c * LaurentPoly({key: 1}, vars)
+            self.terms, self.vars = total.terms, total.vars
 
     @classmethod
-    def zero(cls) -> "LaurentBiPoly":
-        return cls()
+    def term(cls, coeff, **exponents: int) -> "LaurentPoly":
+        """coeff * prod name**exponent, over (u, lam) and the names given."""
+        vars = UL + tuple(v for v in exponents if v not in UL)
+        return cls({tuple(exponents.get(v, 0) for v in vars): coeff}, vars)
 
-    @classmethod
-    def one(cls) -> "LaurentBiPoly":
-        return cls.term(1)
+    def _coerce(self, other) -> "LaurentPoly":
+        """A LaurentPoly as is, a rational as a constant; TypeError for anything else."""
+        return other if isinstance(other, LaurentPoly) else self.term(other)
 
-    # -- algebra ----------------------------------------------------------
+    def _align(self, other):
+        """(names, self's terms, other's terms) over the union of both names."""
+        other = self._coerce(other)
+        if other.vars == self.vars:
+            return self.vars, self.terms, other.terms
+        vars = self.vars + tuple(v for v in other.vars if v not in self.vars)
+        zero = dict.fromkeys(vars, 0)
+        return vars, *({tuple({**zero, **dict(zip(f.vars, key))}.values()): c
+                        for key, c in f.terms.items()} for f in (self, other))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return LaurentBiPoly(out)
+        vars, mine, theirs = self._align(other)
+        out = dict(mine)
+        for key, c in theirs.items():
+            out[key] = out.get(key, 0) + c
+        return LaurentPoly(out, vars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentBiPoly({k: -c for k, c in self.terms.items()})
+        return LaurentPoly({k: -c for k, c in self.terms.items()}, self.vars)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for (ju1, jl1), c1 in self.terms.items():
-            for (ju2, jl2), c2 in other.terms.items():
-                key = (ju1 + ju2, jl1 + jl2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return LaurentBiPoly(out)
+        vars, mine, theirs = self._align(other)
+        out: dict[tuple[int, ...], Fraction] = {}
+        for k1, c1 in mine.items():
+            for k2, c2 in theirs.items():
+                key = tuple(map(operator.add, k1, k2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return LaurentPoly(out, vars)
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """Division by a single term, a unit of the Laurent ring."""
+        other = self._coerce(other)
+        if len(other.terms) != 1:  # the units are the single terms
+            raise (ValueError if other.terms else ZeroDivisionError)(f"{other} is not a unit")
+        ((key, c),) = other.terms.items()
+        return self * LaurentPoly({tuple(-e for e in key): 1 / c}, other.vars)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int):
             return NotImplemented
-        out = LaurentBiPoly.one()
+        if n < 0:
+            return (1 / self) ** -n
+        out = self._coerce(1)
         base = self
         while n:
             if n & 1:
@@ -413,84 +435,79 @@ class LaurentBiPoly:
         return out
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (LaurentPoly, int, Fraction)):
             return NotImplemented
-        return self.terms == other.terms
+        _, mine, theirs = self._align(other)
+        return mine == theirs
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    def subs(self, **values) -> "LaurentPoly":
+        """Substitute named variables by scalars or LaurentPolys, all at once.
 
-    @classmethod
-    def _coerce(cls, other):
-        if isinstance(other, LaurentBiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return cls.term(other)
-        return NotImplemented
-
-    # -- structure --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, u_exp: int, lam_exp: int) -> Fraction:
-        return self.terms.get((u_exp, lam_exp), Fraction(0))
-
-    def flip_u(self) -> "LaurentBiPoly":
-        """Substitute u -> -u."""
-        return LaurentBiPoly(
-            {(ju, jl): (-c if ju % 2 else c) for (ju, jl), c in self.terms.items()}
-        )
-
-    def subs_lambda(self, lam_value: "LaurentBiPoly") -> "LaurentBiPoly":
-        """Substitute lambda by a polynomial in u (lambda-degree 0).
-
-        The terms are grouped by lambda-exponent and ``lam_value`` is raised
-        one power at a time, so each lambda-degree costs one multiplication;
-        the products accumulate in one dict of u-exponents.
+        Names the polynomial lacks are ignored; ``subs(u=-LaurentPoly.term(1, u=1))``
+        is u -> -u.
         """
-        if any(jl for (_, jl) in lam_value.terms):
-            raise ValueError("substitution value must be lambda-free")
-        by_jl: dict[int, list[tuple[int, Fraction]]] = {}
-        for (ju, jl), c in self.terms.items():
-            by_jl.setdefault(jl, []).append((ju, c))
-        out: dict[tuple[int, int], Fraction] = {}
-        power = LaurentBiPoly.one()  # lam_value**jl
-        for jl in range(max(by_jl, default=-1) + 1):
-            if jl:
-                power = power * lam_value
-            for ju, c in by_jl.get(jl, ()):
-                for (ku, _), d in power.terms.items():
-                    out[(ju + ku, 0)] = out.get((ju + ku, 0), 0) + c * d
-        return LaurentBiPoly(out)
+        at = [(self.vars.index(v), x) for v, x in values.items() if v in self.vars]
+        total = LaurentPoly({}, self.vars)
+        for key, c in self.terms.items():
+            rest = list(key)
+            for i, x in at:
+                if key[i]:
+                    c = c * _scalar_pow(x, key[i])
+                    rest[i] = 0
+            total = total + LaurentPoly({tuple(rest): c}, self.vars)
+        return total
 
-    def evaluate(self, u, lam):
-        """Evaluate at scalars (complex, Fraction or QuadExt)."""
+    def divrem(self, divisor: "LaurentPoly", var: str):
+        """(quotient, remainder) of division by ``divisor`` as polynomials in ``var``.
+
+        The other names form the coefficient ring, so the divisor's leading
+        coefficient in ``var`` must be a single term (a unit); the remainder
+        has lower degree in ``var`` than the divisor.
+        """
+        n, lead = divisor._top(var)
+        inverse = 1 / lead
+        x = LaurentPoly.term(1, **{var: 1})
+        quot, rem = LaurentPoly({}, self.vars), self
+        while rem.terms:
+            m, top = rem._top(var)
+            if m < n:
+                break
+            step = top * inverse * x ** (m - n)
+            quot, rem = quot + step, rem - step * divisor
+        return quot, rem
+
+    def _top(self, var: str):
+        """(degree in ``var``, its coefficient there as a var-free polynomial)."""
+        if var not in self.vars:
+            return 0, self
+        i = self.vars.index(var)
+        m = max((key[i] for key in self.terms), default=0)
+        top = {key[:i] + (0,) + key[i + 1:]: c for key, c in self.terms.items() if key[i] == m}
+        return m, LaurentPoly(top, self.vars)
+
+    def evaluate(self, *point):
+        """Evaluate at one scalar per variable, in the order of ``vars``.
+
+        Scalars may be complex, Fraction or QuadExt.  A complex one makes every
+        monomial complex, and each term complex(monomial) * float(coefficient);
+        the terms are summed in sorted exponent order.
+        """
+        if len(point) != len(self.vars):
+            raise TypeError(f"need one value for each of {self.vars}")
         total = None
-        for (ju, jl), c in sorted(self.terms.items()):
-            piece = _scalar_pow(u, ju) * _scalar_pow(lam, jl)
-            if isinstance(u, complex) or isinstance(lam, complex):
-                piece = complex(piece) * float(c)
-            else:
-                piece = piece * c
+        for key, c in sorted(self.terms.items()):
+            powers = map(_scalar_pow, point, key)
+            piece = next(powers)
+            for x in powers:
+                piece = piece * x
+            piece = complex(piece) * float(c) if isinstance(piece, complex) else piece * c
             total = piece if total is None else total + piece
         if total is None:
-            return 0 if not isinstance(u, complex) else 0j
+            return 0j if any(isinstance(x, complex) for x in point) else 0
         return total
 
     def __repr__(self):
-        if not self.terms:
-            return "LaurentBiPoly(0)"
-        bits = []
-        for (ju, jl), c in sorted(self.terms.items()):
-            s = str(c)
-            if ju:
-                s += f"*u^{ju}"
-            if jl:
-                s += f"*lam^{jl}"
-            bits.append(s)
-        return "LaurentBiPoly(" + " + ".join(bits) + ")"
+        return f"LaurentPoly({self.terms}, {self.vars})"
 
 
 def _scalar_pow(base, n: int):
@@ -499,43 +516,14 @@ def _scalar_pow(base, n: int):
     return 1 / (base ** (-n))
 
 
-def residue_at_zero(f: LaurentBiPoly) -> dict[int, Fraction]:
-    """Coefficient of u^{-1} in f, as a map lambda-exponent -> coefficient."""
+def residue_at_zero(f: LaurentPoly) -> dict[int, Fraction]:
+    """Coefficient of u^{-1} in f(u, lam), as a map lambda-exponent -> coefficient."""
+    iu, il = f.vars.index("u"), f.vars.index("lam")
     out: dict[int, Fraction] = {}
-    for (ju, jl), c in f.terms.items():
-        if ju == -1:
-            out[jl] = out.get(jl, Fraction(0)) + c
+    for key, c in f.terms.items():
+        if key[iu] == -1:
+            out[key[il]] = out.get(key[il], Fraction(0)) + c
     return {jl: c for jl, c in out.items() if c != 0}
-
-
-def poly_divrem(
-    dividend: list[Scalar], divisor: list[Scalar]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact univariate polynomial division with remainder.
-
-    Polynomials are coefficient lists in ascending degree order.  Returns
-    (quotient, remainder) with dividend = quotient*divisor + remainder and
-    deg(remainder) < deg(divisor).
-    """
-    num = [_as_fraction(c) for c in dividend]
-    den = [_as_fraction(c) for c in divisor]
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    while num and num[-1] == 0:
-        num.pop()
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    while len(num) >= len(den):
-        shift = len(num) - len(den)
-        factor = num[-1] / lead
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-        while num and num[-1] == 0:
-            num.pop()
-    return quot, num
 
 
 @dataclass(frozen=True)
@@ -567,22 +555,6 @@ class Matrix2:
     def scale(self, factor) -> "Matrix2":
         return Matrix2(
             self.e11 * factor, self.e12 * factor, self.e21 * factor, self.e22 * factor
-        )
-
-    def __add__(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(
-            self.e11 + other.e11,
-            self.e12 + other.e12,
-            self.e21 + other.e21,
-            self.e22 + other.e22,
-        )
-
-    def __sub__(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(
-            self.e11 - other.e11,
-            self.e12 - other.e12,
-            self.e21 - other.e21,
-            self.e22 - other.e22,
         )
 
 

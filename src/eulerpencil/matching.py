@@ -11,6 +11,7 @@ the CD matching ratio, and the interpolation-obstruction witness.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,16 +20,15 @@ from typing import Optional, Union
 from .curves import WeierstrassCurve, ap_count, good_primes, hasse_check
 from .exactmath import (
     DegenerateQuadraticError,
-    LaurentBiPoly,
+    LaurentPoly,
     Matrix2,
     QuadExt,
     Rational,
     _as_fraction,
     group_pseudoinverse2,
-    poly_divrem,
     quad_roots,
 )
-from .pencil import Pencil2, pencil_from_tdd, resolvent_tr_det, spectral_poly, zco_pencil
+from .pencil import Pencil2, _resolvent_at, pencil_from_tdd, spectral_poly, zco_pencil
 
 CANONICAL_PARAMS = (Fraction(2), Fraction(0), Fraction(2))
 
@@ -75,20 +75,20 @@ class MatchReport:
 def master_quadratic(tau, delta, Delta, a_p: int, p: int):
     """Coefficients (A, B, C) of the master quadratic in Y = u^2.
 
-    A = tau^2 - 4 Delta; B = -a_p A / p + 2 delta tau;
-    C = tau^2 - a_p delta tau / p - Delta a_p^2 / p^2 + tau^2 / p.
+    A = tau^2 - 4 Delta; B = -a A + 2 delta tau;
+    C = tau^2 - a delta tau - Delta a^2 + q tau^2, with a = a_p/p and q = 1/p.
     """
     tau, delta, Delta = (_as_fraction(v) for v in (tau, delta, Delta))
     if tau == 0:
         raise DegenerateQuadraticError("tau = 0: route through the ZCO path")
+    return _master_coefficients(tau, delta, Delta, Fraction(a_p, p), Fraction(1, p))
+
+
+def _master_coefficients(tau, delta, Delta, a, q):
+    """(A, B, C) of ``master_quadratic`` over any ring that holds its arguments."""
     A = tau * tau - 4 * Delta
-    B = -Fraction(a_p, p) * A + 2 * delta * tau
-    C = (
-        tau * tau
-        - Fraction(a_p, p) * delta * tau
-        - Delta * Fraction(a_p * a_p, p * p)
-        + tau * tau / p
-    )
+    B = -a * A + 2 * delta * tau
+    C = tau * tau - a * delta * tau - Delta * a * a + q * tau * tau
     return A, B, C
 
 
@@ -113,7 +113,11 @@ def _branch_sign(branch: str) -> int:
 
 
 def basepoint_solve(tau, delta, Delta, a_p: int, p: int, branch: str = "plus") -> Basepoint:
-    """Numeric basepoint for general pencil invariants (tau != 0)."""
+    """Numeric basepoint for general pencil invariants (tau != 0).
+
+    "plus" is w = (-B + sqrt(B^2 - 4AC))/(2A), principal root: the smaller
+    real w when A < 0.  Both branches give w = -C/B when A = 0.
+    """
     sign = _branch_sign(branch)
     A, B, C = master_quadratic(tau, delta, Delta, a_p, p)
     if A == 0:
@@ -144,6 +148,13 @@ def canonical_basepoint(a_p: int, p: int, branch: str = "plus") -> Basepoint:
     return Basepoint(w=w, u=u, lam=lam, branch=branch, sheet=_classify_sheet(w.to_complex()))
 
 
+def basepoint_for(params, a_p: int, p: int, branch: str = "plus") -> Basepoint:
+    """The basepoint of (tau, delta, Delta): exact on the canonical pencil, numeric otherwise."""
+    if tuple(params) == CANONICAL_PARAMS:
+        return canonical_basepoint(a_p, p, branch)
+    return basepoint_solve(*params, a_p, p, branch)
+
+
 def canonical_match_exact(a_p: int, p: int, branch: str = "plus"):
     """Exact (tr, det) at the canonical basepoint, in QuadExt arithmetic.
 
@@ -153,9 +164,7 @@ def canonical_match_exact(a_p: int, p: int, branch: str = "plus"):
     bp = canonical_basepoint(a_p, p, branch)
     w = bp.w
     lam_u = w * w - Fraction(a_p, 2 * p) * w
-    # Canonical P(u, lambda) = u^6 - 2 lambda u^3 - u^2 + 2 lambda^2, with
-    # lambda = u^3 - (a_p/2p) u:
-    # P = w^3 - 2(w + ... ) ... evaluated via lambda^2 = (lambda u)^2 / w.
+    # canonical P = u^6 - 2 lambda u^3 - u^2 + 2 lambda^2, with lambda^2 = (lambda u)^2 / w
     lam_sq = lam_u * lam_u / w
     P = w**3 - 2 * lam_u * w - w + 2 * lam_sq
     tr = (2 * w * w - 2 * lam_u) / P
@@ -182,14 +191,11 @@ def euler_match_verify(
     tau, delta, Delta = (_as_fraction(v) for v in params)
     if not hasse_check(a_p, p):
         raise HasseViolationError(f"(a_p={a_p}, p={p}) violates the Hasse bound")
-    if (tau, delta, Delta) == CANONICAL_PARAMS:
-        bp = canonical_basepoint(a_p, p, branch)
-    else:
-        bp = basepoint_solve(tau, delta, Delta, a_p, p, branch)
+    bp = basepoint_for((tau, delta, Delta), a_p, p, branch)
     pencil = pencil_from_tdd(tau, delta, Delta, 1)
     u, lam = bp.u, bp.lam
-    tr, det = resolvent_tr_det(pencil, u, lam, tol=1e-300)
     P = spectral_poly(pencil).evaluate(u, lam)
+    tr, det = _resolvent_at(pencil, u, lam, P, tol=1e-300)
     w = complex(bp.w) if not isinstance(bp.w, QuadExt) else bp.w.to_complex()
     residual_tr = abs(tr - a_p)
     residual_det = abs(det - p)
@@ -215,32 +221,42 @@ def euler_match_verify(
 def symbolic_reduction_check(tau, delta, Delta, a_p: int, p: int) -> bool:
     """Exact reduction of the matching system to the master quadratic.
 
-    Substitutes lambda(u) = (2u^3 - a_p u / p)/tau into P(u, lambda) - u^2/p,
-    rewrites the resulting even degree-6 polynomial in Y = u^2, and verifies
-    exact divisibility by A Y^2 + B Y + C with quotient k*Y, k != 0.
+    lambda(u) = (2u^3 - a u)/tau turns P(u, lambda) - q u^2, a = a_p/p and
+    q = 1/p, into k Y (A Y^2 + B Y + C) with Y = u^2 and k = -1/tau^2.  That
+    is derived once, generically; each call checks its remainder (0) and
+    quotient (k Y, k != 0) at the call's numbers.
     """
     tau, delta, Delta = (_as_fraction(v) for v in (tau, delta, Delta))
     if tau == 0:
         raise DegenerateQuadraticError("tau = 0: route through the ZCO path")
-    pencil = pencil_from_tdd(tau, delta, Delta, 1)
-    lam_of_u = LaurentBiPoly(
-        {(3, 0): Fraction(2) / tau, (1, 0): -Fraction(a_p, p) / tau}
-    )
-    poly_u = spectral_poly(pencil).subs_lambda(lam_of_u) - LaurentBiPoly.term(
-        Fraction(1, p), 2
-    )
-    if any(jl != 0 or ju % 2 or ju < 0 for (ju, jl) in poly_u.terms):
-        raise ReductionFailureError("substituted polynomial is not even in u")
-    max_deg = max((ju for (ju, _) in poly_u.terms), default=0) // 2
-    cubic = [poly_u.coeff(2 * k, 0) for k in range(max_deg + 1)]
-    A, B, C = master_quadratic(tau, delta, Delta, a_p, p)
-    quot, rem = poly_divrem(cubic, [C, B, A])
-    if any(c != 0 for c in rem):
+    point = dict(tau=tau, delta=delta, Delta=Delta, a=Fraction(a_p, p), q=Fraction(1, p))
+    quot, rem = (f.subs(**point) for f in _master_reduction())
+    if rem != 0:
         raise ReductionFailureError(f"nonzero remainder {rem}")
-    # quotient must be k*Y with k != 0
-    if len(quot) != 2 or quot[0] != 0 or quot[1] == 0:
+    if quot == 0 or quot != quot.subs(u=1) * LaurentPoly.term(1, u=2):
         raise ReductionFailureError(f"quotient {quot} is not a nonzero multiple of Y")
     return True
+
+
+@functools.cache
+def _master_reduction() -> tuple[LaurentPoly, LaurentPoly]:
+    """(quotient, remainder) of P(u, lambda(u)) - q u^2 by A Y^2 + B Y + C.
+
+    Over Q[tau^+-1, delta, Delta, a, q], on first use: P is ``spectral_poly``
+    of the pencil with these invariants, A, B, C are ``master_quadratic``'s,
+    and the division is in q, where the leading coefficient tau^2 is a unit.
+    ReductionFailureError unless the remainder is 0 and the quotient -Y/tau^2.
+    """
+    names = ("tau", "delta", "Delta", "a", "q", "u")
+    tau, delta, Delta, a, q, u = (LaurentPoly.term(1, **{name: 1}) for name in names)
+    Y = u * u
+    lam = (2 * u**3 - a * u) / tau
+    reduced = spectral_poly(pencil_from_tdd(tau, delta, Delta)).subs(lam=lam) - q * Y
+    A, B, C = _master_coefficients(tau, delta, Delta, a, q)
+    quot, rem = reduced.divrem(A * Y * Y + B * Y + C, "q")
+    if rem != 0 or quot != -Y / tau**2:
+        raise ReductionFailureError(f"remainder {rem} and quotient {quot}: no reduction")
+    return quot, rem
 
 
 def discriminant_identity(a_p: int, p: int):

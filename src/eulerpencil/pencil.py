@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactmath import (
-    LaurentBiPoly,
+    LaurentPoly,
     Matrix2,
     QuadExt,
     Rational,
@@ -82,8 +82,11 @@ class Pencil2:
 
 
 def pencil_from_tdd(tau, delta, Delta, E=1) -> Pencil2:
-    """Pencil from invariants: a=(tau+delta)/2, d=(tau-delta)/2, b_sq=Delta-ad."""
-    tau, delta, Delta, E = (_as_fraction(v) for v in (tau, delta, Delta, E))
+    """Pencil from invariants: a=(tau+delta)/2, d=(tau-delta)/2, b_sq=Delta-ad.
+
+    Rational invariants, or LaurentPolys for a pencil with symbolic entries."""
+    tau, delta, Delta, E = (v if isinstance(v, LaurentPoly) else _as_fraction(v)
+                            for v in (tau, delta, Delta, E))
     a = (tau + delta) / 2
     d = (tau - delta) / 2
     return Pencil2(E1=E, E2=-E, a=a, d=d, b_sq=Delta - a * d)
@@ -95,13 +98,13 @@ def zco_pencil(E=1) -> Pencil2:
     return Pencil2(E1=E, E2=-E, a=Fraction(1), d=Fraction(-1), b_sq=Fraction(1))
 
 
-def spectral_poly(pencil: Pencil2) -> LaurentBiPoly:
-    """P(u, lambda) = det(u^2 A(u; lambda)) as a bivariate polynomial.
+def spectral_poly(pencil: Pencil2) -> LaurentPoly:
+    """P(u, lambda) = det(u^2 A(u; lambda)) as a polynomial in (u, lam).
 
     P = u^6 - (E1+E2) u^4 + E1 E2 u^2
         - lambda [ (a+d) u^3 - (a E2 + d E1) u ] + lambda^2 (ad + b^2).
     """
-    return LaurentBiPoly(
+    return LaurentPoly(
         {
             (6, 0): Fraction(1),
             (4, 0): -(pencil.E1 + pencil.E2),
@@ -132,9 +135,13 @@ def resolvent_tr_det(pencil: Pencil2, u, lam, tol: float = 1e-12):
     independent of delta).  The closed forms require the canonical
     background E2 = -E1.  Exact inputs (Fraction/QuadExt) stay exact.
     """
+    return _resolvent_at(pencil, u, lam, spectral_poly(pencil).evaluate(u, lam), tol)
+
+
+def _resolvent_at(pencil: Pencil2, u, lam, P, tol: float):
+    """``resolvent_tr_det`` given P = P(u, lambda) already evaluated."""
     if not pencil.is_canonical_background:
         raise ValueError("closed forms require the canonical background E2 = -E1")
-    P = spectral_poly(pencil).evaluate(u, lam)
     exact = not (isinstance(u, (complex, float)) or isinstance(lam, (complex, float)))
     if exact:
         if P == 0:
@@ -149,15 +156,15 @@ def resolvent_tr_det(pencil: Pencil2, u, lam, tol: float = 1e-12):
     return u * (2 * u**3 - tau * lam) / P, u * u / P
 
 
-def _adjugate_diagonal(pencil: Pencil2) -> tuple[LaurentBiPoly, LaurentBiPoly]:
+def _adjugate_diagonal(pencil: Pencil2) -> tuple[LaurentPoly, LaurentPoly]:
     """The diagonal cofactors f1 = u^2 - E2 - d lambda/u, f2 = u^2 - E1 - a lambda/u."""
-    f1 = LaurentBiPoly({(2, 0): 1, (0, 0): -pencil.E2, (-1, 1): -pencil.d})
-    f2 = LaurentBiPoly({(2, 0): 1, (0, 0): -pencil.E1, (-1, 1): -pencil.a})
+    f1 = LaurentPoly({(2, 0): 1, (0, 0): -pencil.E2, (-1, 1): -pencil.d})
+    f2 = LaurentPoly({(2, 0): 1, (0, 0): -pencil.E1, (-1, 1): -pencil.a})
     return f1, f2
 
 
 def adjugate_columns(pencil: Pencil2, b: Optional[Rational] = None):
-    """Columns (phi1, phi2) of adj A(u; lambda), each a LaurentBiPoly pair.
+    """Columns (phi1, phi2) of adj A(u; lambda), each a LaurentPoly pair.
 
     Computed from 2x2 cofactors of A = u^2 I - diag(E1,E2) - (lambda/u) V:
     phi1 = (u^2 - E2 - d lambda/u, -b lambda/u),
@@ -168,7 +175,7 @@ def adjugate_columns(pencil: Pencil2, b: Optional[Rational] = None):
         b = pencil.b_exact()
     b = _as_fraction(b)
     f1, f2 = _adjugate_diagonal(pencil)
-    off = LaurentBiPoly.term(b, -1, 1)
+    off = LaurentPoly.term(b, u=-1, lam=1)
     phi1 = (f1, -off)
     phi2 = (off, f2)
     return phi1, phi2
@@ -199,17 +206,18 @@ def eta_gram(pencil: Pencil2, c=1) -> EtaGram:
     """
     c = _as_fraction(c)
     f1, f2 = _adjugate_diagonal(pencil)
-    uinv = LaurentBiPoly.term(1, -1)
-    lam_uinv = LaurentBiPoly.term(1, -1, 1)
-    bsq_l2_u2 = LaurentBiPoly.term(pencil.b_sq, -2, 2)
+    uinv = LaurentPoly.term(1, u=-1)
+    lam_uinv = LaurentPoly.term(1, u=-1, lam=1)
+    bsq_l2_u2 = LaurentPoly.term(pencil.b_sq, u=-2, lam=2)
+    f1_flip, f2_flip = (f.subs(u=-LaurentPoly.term(1, u=1)) for f in (f1, f2))  # u -> -u
 
     # G11 = res[(f1(-u) f1(u) + b^2 l^2/u^2)/u]
-    g11 = residue_at_zero((f1.flip_u() * f1 + bsq_l2_u2) * uinv)
+    g11 = residue_at_zero((f1_flip * f1 + bsq_l2_u2) * uinv)
     # G22 = res[(-b^2 l^2/u^2 - f2(-u) f2(u))/u]
-    g22 = residue_at_zero((-bsq_l2_u2 - f2.flip_u() * f2) * uinv)
+    g22 = residue_at_zero((-bsq_l2_u2 - f2_flip * f2) * uinv)
     # G12 = b * res[(l/u)(f1(-u) - f2(u))/u]; G21 = b * res[(l/u)(f2(-u) - f1(u))/u]
-    g12 = residue_at_zero(lam_uinv * (f1.flip_u() - f2) * uinv)
-    g21 = residue_at_zero(lam_uinv * (f2.flip_u() - f1) * uinv)
+    g12 = residue_at_zero(lam_uinv * (f1_flip - f2) * uinv)
+    g21 = residue_at_zero(lam_uinv * (f2_flip - f1) * uinv)
     if g12 or g21:
         # Only reachable if the N=2 off-diagonal vanishing ever failed; the
         # rational residues would then need scaling by an exact b.

@@ -250,6 +250,25 @@ def test_basepoint_json_radicand_golden(capsys, argv, w):
     assert json.loads(out)["result"]["w"] == w
 
 
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_basepoint_canonical_pencil_given_or_implied_agree(capsys, branch):
+    # --pencil 2,0,2 is the canonical pencil, so it takes the same exact root
+    # as the default and as match
+    args = ("--ap", "-4", "--p", "5", "--branch", branch, "--format", "json")
+    _, implied, _ = run(capsys, "basepoint", *args)
+    code, given_, _ = run(capsys, "basepoint", "--pencil", "2,0,2", *args)
+    assert code == 0 and given_ == implied
+    _, matched, _ = run(capsys, "match", "--pencil", "2,0,2", *args)
+    assert json.loads(matched)["result"]["basepoint"] == json.loads(implied)["result"]
+
+
+def test_reduce_check_pencil_with_zero_leading_coefficient(capsys):
+    # tau^2 = 4 Delta: A = 0, so the master quadratic is linear in Y
+    code, out, _ = run(capsys, "reduce-check", "--pencil", "3,1,2.25", "--ap", "3",
+                       "--p", "11", "--format", "json")
+    assert code == 0 and json.loads(out)["result"] == {"exact": True}
+
+
 # -- assorted smoke -----------------------------------------------------------
 
 

@@ -1,15 +1,18 @@
 """Oracle and invariant tests for Weierstrass curves and point counting."""
 
+import json
 import math
 import os
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eulerpencil import curves
+from eulerpencil.cli import main
 from eulerpencil.curves import (
     BadReductionError,
     SingularCurveError,
@@ -468,6 +471,19 @@ def test_catalogue_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(curves.ENV_CATALOGUE, str(path))
     entry = catalogue_entry("t1")
     assert entry.j == 1728
+
+
+def test_catalogue_rejects_a_cm_discriminant_that_j_contradicts(tmp_path):
+    rows = json.loads(resources.files("eulerpencil.data").joinpath("catalogue.json").read_text())
+    assert [e.cm_discriminant for e in load_catalogue()] == [
+        row.get("cm_discriminant") for row in rows]
+    row = next(row for row in rows if row["label"] == "49a1")
+    row["cm_discriminant"] = -8
+    path = tmp_path / "catalogue.json"
+    path.write_text(json.dumps(rows))
+    with pytest.raises(ValueError, match="49a1: stored cm_discriminant -8 != -7"):
+        load_catalogue(str(path))
+    assert main(["catalogue", "--catalogue", str(path)]) == 2
 
 
 def test_catalogue_pencils_of_criteria_5_and_6_golden():

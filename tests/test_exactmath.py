@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from eulerpencil.exactmath import (
     DegenerateQuadraticError,
-    LaurentBiPoly,
+    LaurentPoly,
     Matrix2,
     QuadExt,
     _exact_sqrt,
     _square_split,
     group_pseudoinverse2,
-    poly_divrem,
     quad_roots,
     residue_at_zero,
 )
@@ -282,7 +281,7 @@ def test_quad_roots_canonical_p5_oracle():
     assert plus == QuadExt(Fraction(-2, 5), Fraction(1, 10), 104)
 
 
-# -- LaurentBiPoly ------------------------------------------------------------
+# -- LaurentPoly ---------------------------------------------------------------
 
 
 @st.composite
@@ -295,7 +294,10 @@ def laurents(draw, max_lam=3):
             draw(st.integers(min_value=0, max_value=max_lam)),
         )
         terms[key] = draw(rationals)
-    return LaurentBiPoly(terms)
+    return LaurentPoly(terms)
+
+
+U = LaurentPoly.term(1, u=1)
 
 
 @given(laurents(), laurents(), laurents())
@@ -305,47 +307,91 @@ def test_laurent_ring_laws(f, g, h):
     assert f * g == g * f
     assert f * (g + h) == f * g + f * h
     assert (f * g) * h == f * (g * h)
-    assert f + LaurentBiPoly.zero() == f
-    assert f * LaurentBiPoly.one() == f
+    assert f + LaurentPoly() == f
+    assert f * LaurentPoly.term(1) == f
+
+
+@given(laurents(), laurents(), st.sampled_from(["u", "lam", "t"]))
+@settings(max_examples=60, deadline=None)
+def test_laurent_names_align_across_variable_sets(f, g, name):
+    # a polynomial over (t, u, lam) in another order is the same polynomial
+    t = LaurentPoly.term(1, **{name: 1})
+    h = LaurentPoly({(1, ju, jl): c for (ju, jl), c in g.terms.items()}, ("t", "u", "lam"))
+    assert h == g * LaurentPoly.term(1, t=1)
+    assert f * h == h * f and f + h == h + f
+    assert (f * t) / t == f
 
 
 @given(laurents(), st.integers(min_value=0, max_value=6))
 @settings(max_examples=40, deadline=None)
 def test_laurent_pow_matches_repeated_product(f, n):
-    expect = LaurentBiPoly.one()
+    expect = LaurentPoly.term(1)
     for _ in range(n):
         expect = expect * f
     calls = []
-    mul = LaurentBiPoly.__mul__
+    mul = LaurentPoly.__mul__
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(LaurentBiPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        mp.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
         assert f**n == expect
     # one product per set bit and one squaring per bit below the top one
     assert len(calls) == (n.bit_length() - 1 + bin(n).count("1") if n else 0)
 
 
+def test_laurent_divides_by_single_terms_only():
+    m = LaurentPoly.term(Fraction(3, 2), u=-2, lam=1)
+    assert m**-2 * m**2 == 1 and (U + 1) / m * m == U + 1
+    with pytest.raises(ValueError, match="not a unit"):
+        1 / (U + 1)
+    with pytest.raises(ZeroDivisionError):
+        U / LaurentPoly()
+
+
 @given(laurents(), laurents(max_lam=0))
-@example(LaurentBiPoly({(1, 0): 2, (-2, 0): Fraction(1, 3)}), LaurentBiPoly())
-@example(LaurentBiPoly({(0, 3): 1, (-1, 1): Fraction(-2, 5), (2, 0): 3}),
-         LaurentBiPoly({(2, 0): 1, (-1, 0): Fraction(3, 2), (0, 0): -1}))
+@example(LaurentPoly({(1, 0): 2, (-2, 0): Fraction(1, 3)}), LaurentPoly())
+@example(LaurentPoly({(0, 3): 1, (-1, 1): Fraction(-2, 5), (2, 0): 3}),
+         LaurentPoly({(2, 0): 1, (-1, 0): Fraction(3, 2), (0, 0): -1}))
 @settings(max_examples=80, deadline=None)
 def test_subs_lambda_matches_naive_sum(f, lam):
     # sum of c u^ju L^jl, with L^jl by repeated multiplication: u-exponents of
     # either side may be negative, the lambda-degrees of f may have gaps or be
     # 0 only, and L may have several terms or none
-    expect = LaurentBiPoly.zero()
+    expect = LaurentPoly()
     for (ju, jl), c in f.terms.items():
-        piece = LaurentBiPoly.term(c, ju)
+        piece = LaurentPoly.term(c, u=ju)
         for _ in range(jl):
             piece = piece * lam
         expect = expect + piece
-    assert f.subs_lambda(lam) == expect
+    assert f.subs(lam=lam) == expect
 
 
-def test_subs_lambda_rejects_lambda_in_value():
-    f = LaurentBiPoly({(1, 2): 3})
-    with pytest.raises(ValueError, match="lambda-free"):
-        f.subs_lambda(LaurentBiPoly({(2, 0): 1, (0, 1): 1}))
+def test_subs_composes_when_the_value_holds_the_variable():
+    # lam -> lam + u is substituted once, not again inside its own value
+    lam = LaurentPoly.term(1, lam=1)
+    f = LaurentPoly({(1, 2): 3, (-1, 1): 1})
+    assert f.subs(lam=lam + U) == 3 * U * (lam + U) ** 2 + (lam + U) / U
+
+
+@given(laurents(), rationals, rationals)
+@settings(max_examples=60, deadline=None)
+def test_subs_of_every_variable_is_evaluate(f, u, lam):
+    assume(u != 0)
+    assert f.subs(u=u, lam=lam) == f.evaluate(u, lam)
+    assert f.subs(u=u).subs(lam=lam) == f.evaluate(u, lam)
+
+
+@given(laurents(), laurents(max_lam=1))
+@settings(max_examples=60, deadline=None)
+def test_divrem_reconstructs_in_a_variable_with_unit_lead(f, g):
+    # divide in lam by m lam^2 + g, m a single term, deg_lam g <= 1: f = q d + r, deg_lam r < 2
+    d = LaurentPoly.term(Fraction(-2, 3), u=-1, lam=2) + g
+    q, r = f.divrem(d, "lam")
+    assert q * d + r == f
+    assert all(jl < 2 for (_, jl) in r.terms)
+
+
+def test_divrem_needs_a_unit_leading_coefficient():
+    with pytest.raises(ValueError, match="not a unit"):
+        U.divrem(LaurentPoly({(1, 1): 1, (0, 1): 1}), "lam")
 
 
 @given(laurents(), laurents())
@@ -362,7 +408,9 @@ def test_residue_is_linear(f, g):
 @given(laurents())
 @settings(max_examples=40, deadline=None)
 def test_flip_u_is_involution(f):
-    assert f.flip_u().flip_u() == f
+    flipped = f.subs(u=-U)
+    assert flipped == LaurentPoly({(ju, jl): -c if ju % 2 else c for (ju, jl), c in f.terms.items()})
+    assert flipped.subs(u=-U) == f
 
 
 @given(laurents(), st.complex_numbers(max_magnitude=2, allow_nan=False))
@@ -375,32 +423,6 @@ def test_evaluate_matches_termwise(f, u):
         complex(c) * u**i * lam**j for (i, j), c in f.terms.items()
     )
     assert abs(f.evaluate(u, lam) - direct) <= 1e-8 * max(1.0, abs(direct))
-
-
-# -- poly_divrem --------------------------------------------------------------
-
-
-@given(
-    st.lists(rationals, min_size=1, max_size=5),
-    st.lists(rationals, min_size=1, max_size=4),
-)
-@settings(max_examples=60, deadline=None)
-def test_poly_divrem_reconstruction(f, g):
-    if all(c == 0 for c in g):
-        return
-    q, r = poly_divrem(f, g)
-    # f == q*g + r termwise (ascending coefficients)
-    prod = [Fraction(0)] * (len(q) + len(g))
-    for i, qi in enumerate(q):
-        for j, gj in enumerate(g):
-            prod[i + j] += qi * gj
-    total = [Fraction(0)] * max(len(f), len(prod), len(r))
-    for i, c in enumerate(prod):
-        total[i] += c
-    for i, c in enumerate(r):
-        total[i] += c
-    f_padded = [Fraction(c) for c in f] + [Fraction(0)] * (len(total) - len(f))
-    assert total == f_padded
 
 
 # -- Matrix2 ------------------------------------------------------------------

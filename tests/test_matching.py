@@ -1,15 +1,23 @@
 """Per-prime Euler-factor matching tests."""
 
 import cmath
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerpencil.exactmath import DegenerateQuadraticError, QuadExt
+import eulerpencil
+from eulerpencil import matching
+from eulerpencil.exactmath import DegenerateQuadraticError, LaurentPoly, QuadExt
 from eulerpencil.matching import (
+    CANONICAL_PARAMS,
     HasseViolationError,
+    basepoint_for,
     basepoint_solve,
     canonical_basepoint,
     canonical_match_exact,
@@ -27,6 +35,7 @@ from eulerpencil.matching import (
     zco_euler_factor,
     zco_matrix,
 )
+from eulerpencil.pencil import pencil_from_tdd, spectral_poly
 from eulerpencil.curves import WeierstrassCurve, hasse_check, primes_upto
 
 PRIMES = primes_upto(60)
@@ -101,6 +110,17 @@ def test_basepoint_solve_satisfies_quadratic(pair):
         assert abs(bp.lam - lam_expect) <= 1e-12 * max(1.0, abs(lam_expect))
 
 
+def test_basepoint_for_is_exact_on_the_canonical_pencil_only():
+    # the canonical pencil given as numbers takes the exact root, so "plus" is w+
+    for params in (CANONICAL_PARAMS, (2, 0, 2), (Fraction(4, 2), 0, Fraction(2))):
+        assert basepoint_for(params, -4, 5) == canonical_basepoint(-4, 5)
+    assert basepoint_for((3, 1, Fraction(1, 2)), -2, 7, "minus") == basepoint_solve(
+        3, 1, Fraction(1, 2), -2, 7, "minus")
+    # basepoint_solve keeps its convention: with A = -4 < 0, its "plus" root is w-
+    w = basepoint_solve(2, 0, 2, -4, 5).w
+    assert abs(w - canonical_basepoint(-4, 5, "minus").w.to_complex()) <= 1e-12
+
+
 # -- verification reports -----------------------------------------------------
 
 
@@ -161,6 +181,40 @@ def test_symbolic_reduction_generic(tau, delta, Delta, pair):
 def test_symbolic_reduction_tau_zero_rejected():
     with pytest.raises(DegenerateQuadraticError):
         symbolic_reduction_check(0, 1, 1, 2, 5)
+
+
+def test_symbolic_reduction_rejects_non_rationals():
+    with pytest.raises(TypeError):
+        symbolic_reduction_check(2.0, 0, 2, -4, 5)
+    with pytest.raises(TypeError):
+        symbolic_reduction_check(2, 0, 2, -4.0, 5)
+
+
+def test_reduction_identity_holds_generically():
+    # tau^2 (P(u, lam(u)) - q u^2) = -Y (A Y^2 + B Y + C), lam(u) = (2u^3 - a u)/tau,
+    # Y = u^2, identically in (tau, delta, Delta, a, q)
+    tau, delta, Delta, a, q, u = (LaurentPoly.term(1, **{name: 1})
+                                  for name in ("tau", "delta", "Delta", "a", "q", "u"))
+    Y = u * u
+    P = spectral_poly(pencil_from_tdd(tau, delta, Delta))
+    A, B, C = matching._master_coefficients(tau, delta, Delta, a, q)
+    assert tau**2 * (P.subs(lam=(2 * u**3 - a * u) / tau) - q * Y) == -Y * (A * Y * Y + B * Y + C)
+    assert matching._master_reduction() == (-Y / tau**2, 0)
+
+
+def _fresh(code: str) -> str:
+    src = str(Path(eulerpencil.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True).stdout.split()
+
+
+def test_reduction_is_derived_once_per_process_and_not_at_import():
+    misses = "matching._master_reduction.cache_info().misses"
+    out = _fresh(f"import eulerpencil; from eulerpencil import acceptance, matching; "
+                 f"print({misses}); acceptance.run_all(); print({misses})")
+    assert out == ["0", "1"]
 
 
 # -- off-shell distance and CD ratio ------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerpencil import pencil as pencil_mod
-from eulerpencil.exactmath import LaurentBiPoly, QuadExt
+from eulerpencil.exactmath import LaurentPoly, Matrix2, QuadExt
 from eulerpencil.pencil import (
     DegenerateGramError,
     OnShellError,
@@ -64,13 +64,13 @@ def test_spectral_poly_canonical_oracle():
     # [DERIVED] canonical (2,0,2), E=1:
     # P = u^6 - 2 lam u^3 - u^2 + 2 lam^2
     P = spectral_poly(pencil_from_tdd(2, 0, 2))
-    assert P == LaurentBiPoly({(6, 0): 1, (3, 1): -2, (2, 0): -1, (0, 2): 2})
+    assert P == LaurentPoly({(6, 0): 1, (3, 1): -2, (2, 0): -1, (0, 2): 2})
 
 
 def test_spectral_poly_zco_oracle():
     # [DERIVED] ZCO: P = u^6 - E^2 u^2 - 2E lam u
     P = spectral_poly(zco_pencil(3))
-    assert P == LaurentBiPoly({(6, 0): 1, (2, 0): -9, (1, 1): -6})
+    assert P == LaurentPoly({(6, 0): 1, (2, 0): -9, (1, 1): -6})
 
 
 @given(pencils())
@@ -103,17 +103,17 @@ def test_adjugate_times_pencil_is_P_over_u2(pen):
         return
     phi1, phi2 = adjugate_columns(pen, b)
     P = spectral_poly(pen)
-    u2_inv = LaurentBiPoly.term(1, -2)
+    u2_inv = LaurentPoly.term(1, u=-2)
     target = P * u2_inv
     # reconstruct A entries
-    a11 = LaurentBiPoly({(2, 0): 1, (0, 0): -pen.E1, (-1, 1): -pen.a})
-    a12 = LaurentBiPoly.term(-b, -1, 1)
-    a21 = LaurentBiPoly.term(b, -1, 1)
-    a22 = LaurentBiPoly({(2, 0): 1, (0, 0): -pen.E2, (-1, 1): -pen.d})
+    a11 = LaurentPoly({(2, 0): 1, (0, 0): -pen.E1, (-1, 1): -pen.a})
+    a12 = LaurentPoly.term(-b, u=-1, lam=1)
+    a21 = LaurentPoly.term(b, u=-1, lam=1)
+    a22 = LaurentPoly({(2, 0): 1, (0, 0): -pen.E2, (-1, 1): -pen.d})
     # column identities: A . phi_k = det A . e_k
     assert a11 * phi1[0] + a12 * phi1[1] == target
-    assert a21 * phi1[0] + a22 * phi1[1] == LaurentBiPoly.zero()
-    assert a11 * phi2[0] + a12 * phi2[1] == LaurentBiPoly.zero()
+    assert a21 * phi1[0] + a22 * phi1[1] == LaurentPoly()
+    assert a11 * phi2[0] + a12 * phi2[1] == LaurentPoly()
     assert a21 * phi2[0] + a22 * phi2[1] == target
 
 
@@ -145,6 +145,22 @@ def test_resolvent_on_shell_raises():
     lam = (u**5 - u) / 2
     with pytest.raises(OnShellError):
         resolvent_tr_det(pen, u, lam)
+
+
+def _names(*names):
+    return [LaurentPoly.term(1, **{name: 1}) for name in names]
+
+
+def test_spectral_poly_is_u2_det_identically():
+    # generic in (E1, E2, a, d, b): P = u^2 det A(u; lam) and
+    # u^2 tr adj A = u(2u^3 - tau lam) - (E1 + E2) u^2; with E2 = -E1 these give
+    # tr R = tr adj A / det A = u(2u^3 - tau lam)/P and det R = 1/det A = u^2/P
+    E1, E2, a, d, b, u, lam = _names("E1", "E2", "a", "d", "b", "u", "lam")
+    pen = pencil_mod.Pencil2(E1=E1, E2=E2, a=a, d=d, b_sq=b * b)
+    k = lam / u
+    A = Matrix2(u * u - E1 - k * a, -k * b, k * b, u * u - E2 - k * d)
+    assert spectral_poly(pen) == u**2 * A.det()
+    assert u**2 * A.adj().trace() == u * (2 * u**3 - pen.tau * lam) - (E1 + E2) * u**2
 
 
 # -- eta-Gram -----------------------------------------------------------------
@@ -251,6 +267,16 @@ def test_j_formula_tausq_matches_j_formula():
         assert j_formula(tau, delta, Delta) == j_formula_tausq(
             Fraction(tau) ** 2, delta, Delta
         )
+
+
+def test_j_numerator_factors_through_x0_2():
+    # tau^2 delta^2 + 12 Delta mu = x y - 4 Delta mu, identically in (tau, delta, Delta),
+    # with x = tau^2 - 4 Delta and y = delta^2 + 4 Delta
+    tau, delta, Delta = _names("tau", "delta", "Delta")
+    mu = pencil_from_tdd(tau, delta, Delta).mu
+    assert mu == (tau**2 - delta**2) / 4 - Delta
+    x, y = tau**2 - 4 * Delta, delta**2 + 4 * Delta
+    assert tau**2 * delta**2 + 12 * Delta * mu == x * y - 4 * Delta * mu
 
 
 def test_j_formula_singular_locus_raises():
