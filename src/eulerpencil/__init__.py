@@ -16,7 +16,6 @@ from .exactmath import (
     residue_at_zero,
 )
 from .curves import (
-    ApTable,
     CatalogueEntry,
     WeierstrassCurve,
     ap_count,

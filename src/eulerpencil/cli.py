@@ -11,6 +11,7 @@ import argparse
 import cmath
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -216,9 +217,15 @@ DELTAS = (opt("--delta", required=True), opt("--Delta", required=True))
 @command("ap", *CURVE, opt("--max-p", type=int, required=True),
          opt("--include-bad", action="store_true"), help="Frobenius traces by point counting")
 def cmd_ap(args):
-    table = curves.build_ap_table(resolve_curve(args), args.max_p, include_bad=args.include_bad)
-    rows = [{"p": p, "a_p": a, "class": cls} for p, a, cls in table.entries]
-    return {"curve": table.label, "rows": rows}
+    curve = resolve_curve(args)
+    rows = [{"p": p, "a_p": a_p, "class": "good"}
+            for p, a_p, _ in curves.ap_sweep(curve, args.max_p)]
+    if args.include_bad:
+        good = {row["p"] for row in rows}
+        rows += [{"p": p, "a_p": curves.ap_count(curve, p, force=True), "class": "bad"}
+                 for p in curves.primes_upto(args.max_p) if p not in good]
+        rows.sort(key=operator.itemgetter("p"))
+    return {"curve": str(curve), "rows": rows}
 
 
 @command("good-primes", *CURVE, opt("--max-p", type=int, required=True))

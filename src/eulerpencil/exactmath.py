@@ -328,6 +328,46 @@ def quad_roots(A: Scalar, B: Scalar, C: Scalar) -> tuple[QuadExt, QuadExt]:
     return plus, minus
 
 
+def cubic_rational_roots(c3: Scalar, c2: Scalar, c1: Scalar, c0: Scalar) -> list[Fraction]:
+    """The distinct rational roots, ascending, of c3 x^3 + c2 x^2 + c1 x + c0.
+
+    Exact, in integers only.  Clearing denominators to n3 x^3 + ... + n0 and
+    putting y = n3 x gives the monic g(y) = y^3 + n2 y^2 + n1 n3 y + n0 n3^2,
+    whose rational roots are integers (rational root theorem) of absolute
+    value below Cauchy's bound.  g is strictly monotone on the integers
+    between consecutive floors and ceilings of its critical points, so a
+    bisection on each such run finds its one root, if any, with O(log |root
+    bound|) evaluations of g.
+    """
+    coeffs = [_as_fraction(c) for c in (c3, c2, c1, c0)]
+    if coeffs[0] == 0:
+        raise ValueError("leading coefficient is zero: not a cubic")
+    den = math.lcm(*(q.denominator for q in coeffs))
+    n3, n2, n1, n0 = (int(c * den) for c in coeffs)
+    b, c, d = n2, n1 * n3, n0 * n3 * n3
+    bound = 1 + max(abs(b), abs(c), abs(d))
+    runs = [(-bound, bound, True)]
+    disc = b * b - 3 * c  # g' = 3 y^2 + 2 b y + c vanishes at (-b -+ sqrt(disc))/3
+    if disc > 0:
+        r = math.isqrt(disc)
+        r += r * r != disc  # ceil(sqrt(disc))
+        lo, hi = (-b - r) // 3, -((b - r) // 3)  # floor and ceil of the two roots of g'
+        runs = [(-bound, lo, True), (lo + 1, hi - 1, False), (hi, bound, True)]
+    roots = []
+    for lo, hi, rising in runs:
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            v = ((mid + b) * mid + c) * mid + d
+            if v == 0:
+                roots.append(Fraction(mid, n3))
+                break
+            if (v < 0) == rising:
+                lo = mid + 1
+            else:
+                hi = mid - 1
+    return sorted(roots)
+
+
 #: The default variables of a LaurentPoly, those of the spectral polynomial.
 UL = ("u", "lam")
 

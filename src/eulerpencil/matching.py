@@ -149,7 +149,12 @@ def canonical_basepoint(a_p: int, p: int, branch: str = "plus") -> Basepoint:
 
 
 def basepoint_for(params, a_p: int, p: int, branch: str = "plus") -> Basepoint:
-    """The basepoint of (tau, delta, Delta): exact on the canonical pencil, numeric otherwise."""
+    """The basepoint of (tau, delta, Delta): exact on the canonical pencil, numeric otherwise.
+
+    HasseViolationError on every pencil unless a_p^2 <= 4p.
+    """
+    if not hasse_check(a_p, p):
+        raise HasseViolationError(f"(a_p={a_p}, p={p}) violates the Hasse bound")
     if tuple(params) == CANONICAL_PARAMS:
         return canonical_basepoint(a_p, p, branch)
     return basepoint_solve(*params, a_p, p, branch)
@@ -189,8 +194,6 @@ def euler_match_verify(
             raise ValueError(f"unknown parameter preset {params!r}")
         params = CANONICAL_PARAMS
     tau, delta, Delta = (_as_fraction(v) for v in params)
-    if not hasse_check(a_p, p):
-        raise HasseViolationError(f"(a_p={a_p}, p={p}) violates the Hasse bound")
     bp = basepoint_for((tau, delta, Delta), a_p, p, branch)
     pencil = pencil_from_tdd(tau, delta, Delta, 1)
     u, lam = bp.u, bp.lam

@@ -90,6 +90,13 @@ def test_exit_two_on_domain_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["basepoint", "match"])
+@pytest.mark.parametrize("pencil", [(), ("--pencil", "3,1,1/2")], ids=["canonical", "general"])
+def test_hasse_violation_exits_two_on_every_pencil(capsys, command, pencil):
+    code, out, err = run(capsys, command, *pencil, "--ap", "100", "--p", "5")
+    assert (code, out, err) == (2, "", "error: (a_p=100, p=5) violates the Hasse bound\n")
+
+
 def test_exit_two_on_unknown_curve(capsys):
     code, _, err = run(capsys, "ap", "--curve", "zz999", "--max-p", "20")
     assert code == 2 and "error:" in err

@@ -19,7 +19,6 @@ from eulerpencil.curves import (
     WeierstrassCurve,
     ap_count,
     ap_sweep,
-    build_ap_table,
     catalogue_entry,
     cm_discriminant,
     cm_splits,
@@ -157,12 +156,18 @@ def test_good_primes_excludes_discriminant():
     assert is_good_prime(curve, 3)
 
 
-def test_build_ap_table_matches_single_counts():
+def test_ap_command_rows_match_single_counts(capsys):
+    # the ap subcommand's rows are ap_sweep's, with the bad primes forced in
     curve = WeierstrassCurve.short(8, 0)
-    table = build_ap_table(curve, 50)
-    for p, a_p, cls in table.entries:
-        assert cls == "good"
-        assert a_p == ap_count(curve, p)
+    for extra in ((), ("--include-bad",)):
+        assert main(["ap", "--model", "0,0,0,8,0", "--max-p", "50", *extra,
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+        good = [row["p"] for row in rows if row["class"] == "good"]
+        assert good == good_primes(curve, 50)
+        assert [row["p"] for row in rows] == (primes_upto(50) if extra else good)
+        for row in rows:
+            assert row["a_p"] == ap_count(curve, row["p"], force=row["class"] == "bad")
 
 
 # -- Shanks-Mestre against the Legendre oracle ---------------------------------
@@ -310,7 +315,7 @@ _PRIMES_1E6 = [p for p in primes_upto(10**6) if p > curves._SHANKS_MESTRE_MIN_P]
 @settings(max_examples=60, deadline=None)
 def test_cm_path_on_twists_matches_shanks_mestre(c, negate, j_zero, p):
     # the quartic twists y^2 = x^3 + A x (D = -4) and the sextic twists
-    # y^2 = x^3 + B (D = -3), where the unit group adds candidates
+    # y^2 = x^3 + B (D = -3), where a residue symbol picks the unit
     c = -c if negate else c
     curve = WeierstrassCurve.short(0, c) if j_zero else WeierstrassCurve.short(c, 0)
     assume(is_good_prime(curve, p))
@@ -331,6 +336,14 @@ def test_ap_count_paths_by_curve(monkeypatch):
     monkeypatch.setattr(curves, "_ap_shanks_mestre", refuse)
     ap_count(cm, 1021)
     list(ap_sweep(cm, 1200))
+    # j = 0 and j = 1728: a residue symbol picks the unit, with no point
+    # arithmetic at split (1021 = 1 mod 12) or inert primes
+    monkeypatch.setattr(curves, "_ec_mul", refuse)
+    for label in ("27a3", "256b2"):
+        curve = catalogue_entry(label).curve
+        assert cm_splits(cm_discriminant(curve), 1021)
+        ap_count(curve, 1021)
+        list(ap_sweep(curve, 1200))
     monkeypatch.undo()
     monkeypatch.setattr(curves, "_ap_cm", refuse)
     ap_count(plain, 1021)
@@ -346,6 +359,84 @@ def test_ap_sweep_rows_agree_with_ap_count():
         for p, a_p, split in rows:
             assert a_p == ap_count(curve, p)
             assert split == (None if D is None else cm_splits(D, p))
+
+
+#: Models with j = 1728 and j = 0 beyond the short ones: y^2 = x^3 - x and
+#: y^2 = x^3 + 1, 2 moved by x -> x + r, y -> y + s x + t (a1, a3 != 0), with
+#: rational r, s, t whose denominators divide the discriminant.
+_MOVED_CM_MODELS = [
+    [2, 2, 2, 0, -1],
+    [1, Fraction(-1, 4), 1, Fraction(-3, 2), Fraction(-1, 4)],
+    [0, 0, 0, Fraction(5, 2), 0],
+    [2, 2, 2, 1, 1],
+    [Fraction(2, 3), Fraction(8, 9), 1, 0, Fraction(193, 108)],
+    [0, 0, 0, 0, Fraction(5, 9)],
+]
+
+
+@pytest.mark.parametrize("model", _MOVED_CM_MODELS, ids=str)
+def test_residue_symbol_traces_match_legendre(legendre_oracle, model):
+    # every good p <= 10^4; above the cutoff the split primes take the
+    # quartic (j = 1728) or sextic (j = 0) residue symbol
+    curve = WeierstrassCurve.from_model(model)
+    D = cm_discriminant(curve)
+    assert D in (-4, -3)
+    for p in good_primes(curve, 10_000):
+        expect = legendre_oracle(curve, p)
+        assert ap_count(curve, p) == expect, p
+        if p > curves._SHANKS_MESTRE_MIN_P:
+            assert curves._ap_cm(curve, p, D, cm_splits(D, p)) == expect, p
+
+
+@pytest.mark.parametrize("label", ["256b2", "27a3", "48a1"])
+def test_quadratic_twist_multiplies_traces_by_the_character(label):
+    # a_p(E^d) = (d/p) a_p(E), E^d = y^2 = x^3 + d^2 A x + d^3 B, at every
+    # good p <= 10^4 of E^d
+    curve = catalogue_entry(label).curve
+    _, A, B = curve._short_model
+    traces = {p: a_p for p, a_p, _ in ap_sweep(curve, 10_000)}
+    for d in (-1, 2, -3, 5):
+        rows = list(ap_sweep(WeierstrassCurve.short(d * d * A, d**3 * B), 10_000))
+        assert len(rows) > 1000
+        for p, a_p, _ in rows:
+            chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+            assert a_p == chi * traces[p], (d, p)
+
+
+@pytest.mark.parametrize("model, order", [
+    ([0, 1, 0, -4, -4], 4),  # 48a1: (-2, 0), (-1, 0), (2, 0)
+    ([0, 0, 0, 8, 0], 2),  # 256b2: (0, 0)
+    ([0, 0, 1, 0, 0], 1),  # 27a3
+    ([0, 0, 0, -1, 0], 4),  # y^2 = x^3 - x
+    ([0, 1, 0, Fraction(-2, 3), Fraction(-8, 27)], 4),  # y^2 = x^3 - x at x -> x + 1/3
+    ([1, 0, 1, Fraction(1, 2), Fraction(3, 4)], 1),
+])
+def test_two_torsion_order(model, order):
+    assert WeierstrassCurve.from_model(model)._two_torsion_order == order
+
+
+def test_two_torsion_order_with_roots_beyond_double_precision():
+    # x^3 + A x + B with the roots r, -1, -(r - 1), r = 2^53 + 1: no float
+    # holds r; and (x - r)(x^2 + r x + r^2 + 1), one rational root
+    r = 2**53 + 1
+    e = (r, -1, 1 - r)
+    A, B = e[0] * e[1] + e[0] * e[2] + e[1] * e[2], -e[0] * e[1] * e[2]
+    assert WeierstrassCurve.short(A, B)._two_torsion_order == 4
+    assert WeierstrassCurve.short(1, -r * (r * r + 1))._two_torsion_order == 2
+    assert WeierstrassCurve.short(1, -r * (r * r + 1) + 1)._two_torsion_order == 1
+
+
+def test_two_torsion_order_divides_every_group_order():
+    # the Shanks-Mestre step: |E(Q)[2]| divides #E(F_p) = p + 1 - a_p at
+    # every good odd p
+    for entry in load_catalogue():
+        if entry.model is None:
+            continue
+        curve = entry.curve
+        n = curve._two_torsion_order
+        for p, a_p, _ in ap_sweep(curve, 30_000):
+            if p > 2:
+                assert (p + 1 - a_p) % n == 0, (entry.label, p)
 
 
 # -- CM discriminants -----------------------------------------------------------

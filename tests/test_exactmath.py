@@ -15,6 +15,7 @@ from eulerpencil.exactmath import (
     QuadExt,
     _exact_sqrt,
     _square_split,
+    cubic_rational_roots,
     group_pseudoinverse2,
     quad_roots,
     residue_at_zero,
@@ -279,6 +280,34 @@ def test_quad_roots_canonical_p5_oracle():
     # w_plus = (a_p + sqrt(4p(p+1) - a_p^2))/(2p) = -2/5 + sqrt(104)/10
     plus, _ = quad_roots(25, 20, -22)
     assert plus == QuadExt(Fraction(-2, 5), Fraction(1, 10), 104)
+
+
+# -- cubic_rational_roots -------------------------------------------------------
+
+
+@given(rationals.filter(bool), rationals, rationals, rationals)
+@settings(max_examples=150, deadline=None)
+def test_cubic_rational_roots_of_a_root_times_a_quadratic(k, r, b, c):
+    # k (x - r)(x^2 + b x + c): r and the quadratic's rational roots, once each
+    cubic = (k, k * (b - r), k * (c - r * b), -k * r * c)
+    expect = {r}
+    root = _exact_sqrt(b * b - 4 * c)
+    if root is not None:
+        expect |= {(-b + root) / 2, (-b - root) / 2}
+    assert cubic_rational_roots(*cubic) == sorted(expect)
+
+
+def test_cubic_rational_roots_oracles():
+    assert cubic_rational_roots(2, -3, -3, 2) == [-1, Fraction(1, 2), 2]
+    assert cubic_rational_roots(1, 0, -3, 2) == [-2, 1]  # (x - 1)^2 (x + 2)
+    assert cubic_rational_roots(1, 0, 0, -2) == []
+    assert cubic_rational_roots(Fraction(1, 3), 0, 0, 0) == [0]
+    # a root beyond double precision, next to integers that are not roots
+    r = Fraction(2**60 + 1, 3)
+    assert cubic_rational_roots(1, -r, 1, -r) == [r]  # (x - r)(x^2 + 1)
+    assert cubic_rational_roots(1, -r, 1, -r + Fraction(1, 2**70)) == []
+    with pytest.raises(ValueError, match="not a cubic"):
+        cubic_rational_roots(0, 1, 2, 3)
 
 
 # -- LaurentPoly ---------------------------------------------------------------

@@ -110,6 +110,15 @@ def test_basepoint_solve_satisfies_quadratic(pair):
         assert abs(bp.lam - lam_expect) <= 1e-12 * max(1.0, abs(lam_expect))
 
 
+@pytest.mark.parametrize("params", [CANONICAL_PARAMS, (3, 1, Fraction(1, 2))])
+def test_basepoint_for_checks_hasse_on_every_pencil(params):
+    # a_p = 5 at p = 5 breaks Hasse although Delta_p = 95 > 0
+    for a_p in (100, 5, -5):
+        with pytest.raises(HasseViolationError, match=rf"^\(a_p={a_p}, p=5\) violates"):
+            basepoint_for(params, a_p, 5)
+    basepoint_for(params, 4, 5)
+
+
 def test_basepoint_for_is_exact_on_the_canonical_pencil_only():
     # the canonical pencil given as numbers takes the exact root, so "plus" is w+
     for params in (CANONICAL_PARAMS, (2, 0, 2), (Fraction(4, 2), 0, Fraction(2))):
