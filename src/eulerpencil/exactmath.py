@@ -8,6 +8,7 @@ construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -38,18 +39,26 @@ def _as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+#: Steps between the integers prime to 30, from 7: 11, 13, 17, 19, 23, 29, 31, 37, ...
+_WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)
+
+
 def _square_split(n: int) -> tuple[int, int]:
     """Split an integer n >= 1 as n = s*s*k with k squarefree; return (s, k).
 
     Trial division runs only while i**3 <= the remaining cofactor m.  After
     it, m has no prime factor below i and m < i**3, so m is 1, a prime q, a
     product q*q' of two distinct primes, or a square q*q; one isqrt decides.
-    Cost: O(n^(1/3)) steps.
+    The divisors tried are 2, 3, 5 and then only the integers prime to 30
+    (a wheel), 8 in every 30 where every odd i would be 15: O(n^(1/3))
+    steps, about 0.27 n^(1/3) of them.
     """
     s = k = 1
     m = n
     i = 2
-    while i * i * i <= m:
+    for gap in itertools.chain((1, 2, 2), itertools.cycle(_WHEEL_GAPS)):
+        if i * i * i > m:
+            break
         if m % i == 0:
             e = 0
             while m % i == 0:
@@ -57,7 +66,7 @@ def _square_split(n: int) -> tuple[int, int]:
                 e += 1
             s *= i ** (e // 2)
             k *= i ** (e & 1)
-        i += 1 if i == 2 else 2
+        i += gap
     r = math.isqrt(m)
     if r * r == m:
         return s * r, k
@@ -400,6 +409,14 @@ class LaurentPoly:
             self.terms, self.vars = total.terms, total.vars
 
     @classmethod
+    def _of(cls, terms: dict, vars: tuple[str, ...]) -> "LaurentPoly":
+        """A result built in one pass: Fraction coefficients, trusted; zeros dropped."""
+        self = object.__new__(cls)
+        self.terms = {key: c for key, c in terms.items() if c}
+        self.vars = vars
+        return self
+
+    @classmethod
     def term(cls, coeff, **exponents: int) -> "LaurentPoly":
         """coeff * prod name**exponent, over (u, lam) and the names given."""
         vars = UL + tuple(v for v in exponents if v not in UL)
@@ -424,12 +441,12 @@ class LaurentPoly:
         out = dict(mine)
         for key, c in theirs.items():
             out[key] = out.get(key, 0) + c
-        return LaurentPoly(out, vars)
+        return LaurentPoly._of(out, vars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({k: -c for k, c in self.terms.items()}, self.vars)
+        return LaurentPoly._of({k: -c for k, c in self.terms.items()}, self.vars)
 
     def __sub__(self, other):
         return self + (-other)
@@ -444,7 +461,7 @@ class LaurentPoly:
             for k2, c2 in theirs.items():
                 key = tuple(map(operator.add, k1, k2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(out, vars)
+        return LaurentPoly._of(out, vars)
 
     __rmul__ = __mul__
 
@@ -454,7 +471,7 @@ class LaurentPoly:
         if len(other.terms) != 1:  # the units are the single terms
             raise (ValueError if other.terms else ZeroDivisionError)(f"{other} is not a unit")
         ((key, c),) = other.terms.items()
-        return self * LaurentPoly({tuple(-e for e in key): 1 / c}, other.vars)
+        return self * LaurentPoly._of({tuple(-e for e in key): 1 / c}, other.vars)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -484,18 +501,34 @@ class LaurentPoly:
         """Substitute named variables by scalars or LaurentPolys, all at once.
 
         Names the polynomial lacks are ignored; ``subs(u=-LaurentPoly.term(1, u=1))``
-        is u -> -u.
+        is u -> -u.  The result is accumulated in one dict: O(terms) updates
+        for scalar values, plus the terms of each power of a LaurentPoly value.
+        A value's new names follow ``vars``, in the order they are met.
         """
         at = [(self.vars.index(v), x) for v, x in values.items() if v in self.vars]
-        total = LaurentPoly({}, self.vars)
+        vars, out = self.vars, {}
         for key, c in self.terms.items():
             rest = list(key)
             for i, x in at:
                 if key[i]:
                     c = c * _scalar_pow(x, key[i])
                     rest[i] = 0
-            total = total + LaurentPoly({tuple(rest): c}, self.vars)
-        return total
+            if isinstance(c, LaurentPoly):
+                new = tuple(v for v in c.vars if v not in vars)
+                if new:
+                    vars += new
+                    out = {k + (0,) * len(new): v for k, v in out.items()}
+                where, items = [vars.index(v) for v in c.vars], c.terms.items()
+            else:  # TypeError for a float or complex value
+                where, items = [], [((), _as_fraction(c))]
+            rest += [0] * (len(vars) - len(rest))
+            for k2, c2 in items:
+                k = rest.copy()
+                for i, e in zip(where, k2):
+                    k[i] += e
+                k = tuple(k)
+                out[k] = out.get(k, 0) + c2
+        return LaurentPoly._of(out, vars)
 
     def divrem(self, divisor: "LaurentPoly", var: str):
         """(quotient, remainder) of division by ``divisor`` as polynomials in ``var``.
@@ -523,7 +556,7 @@ class LaurentPoly:
         i = self.vars.index(var)
         m = max((key[i] for key in self.terms), default=0)
         top = {key[:i] + (0,) + key[i + 1:]: c for key, c in self.terms.items() if key[i] == m}
-        return m, LaurentPoly(top, self.vars)
+        return m, LaurentPoly._of(top, self.vars)
 
     def evaluate(self, *point):
         """Evaluate at one scalar per variable, in the order of ``vars``.

@@ -187,7 +187,10 @@ def euler_match_verify(
     """Verify tr R = a_p and det R = p at the solved basepoint.
 
     ``params`` is a (tau, delta, Delta) triple or the string "canonical".
-    Returns a PASS/FAIL report (no exception on residual failure).
+    Returns a PASS/FAIL report (no exception on residual failure).  The
+    exact pencil and its spectral polynomial are built once per triple (see
+    ``_pencil_and_poly``); the basepoint, P(u, lambda), the resolvent and the
+    residuals are computed on every call.
     """
     if isinstance(params, str):
         if params != "canonical":
@@ -195,9 +198,9 @@ def euler_match_verify(
         params = CANONICAL_PARAMS
     tau, delta, Delta = (_as_fraction(v) for v in params)
     bp = basepoint_for((tau, delta, Delta), a_p, p, branch)
-    pencil = pencil_from_tdd(tau, delta, Delta, 1)
+    pencil, poly = _pencil_and_poly(tau, delta, Delta)
     u, lam = bp.u, bp.lam
-    P = spectral_poly(pencil).evaluate(u, lam)
+    P = poly.evaluate(u, lam)
     tr, det = _resolvent_at(pencil, u, lam, P, tol=1e-300)
     w = complex(bp.w) if not isinstance(bp.w, QuadExt) else bp.w.to_complex()
     residual_tr = abs(tr - a_p)
@@ -221,6 +224,18 @@ def euler_match_verify(
     )
 
 
+@functools.lru_cache(maxsize=32)
+def _pencil_and_poly(tau: Fraction, delta: Fraction, Delta: Fraction):
+    """The pencil (tau, delta, Delta) with E = 1 and its ``spectral_poly``.
+
+    Keyed by the exact triple, so "canonical", (2, 0, 2) and equal Fractions
+    share one entry; at most 32 triples are kept, the least recently used
+    going first.
+    """
+    pencil = pencil_from_tdd(tau, delta, Delta, 1)
+    return pencil, spectral_poly(pencil)
+
+
 def symbolic_reduction_check(tau, delta, Delta, a_p: int, p: int) -> bool:
     """Exact reduction of the matching system to the master quadratic.
 
@@ -234,9 +249,12 @@ def symbolic_reduction_check(tau, delta, Delta, a_p: int, p: int) -> bool:
         raise DegenerateQuadraticError("tau = 0: route through the ZCO path")
     point = dict(tau=tau, delta=delta, Delta=Delta, a=Fraction(a_p, p), q=Fraction(1, p))
     quot, rem = (f.subs(**point) for f in _master_reduction())
-    if rem != 0:
+    if rem.terms:
         raise ReductionFailureError(f"nonzero remainder {rem}")
-    if quot == 0 or quot != quot.subs(u=1) * LaurentPoly.term(1, u=2):
+    # tau, delta, Delta, a and q are substituted here and lambda before the
+    # division, so k Y (k != 0) is one term: exponent 2 in u, 0 in every other name
+    at_Y = tuple(2 * (v == "u") for v in quot.vars)
+    if "u" not in quot.vars or list(quot.terms) != [at_Y]:
         raise ReductionFailureError(f"quotient {quot} is not a nonzero multiple of Y")
     return True
 

@@ -17,7 +17,6 @@ from typing import Optional
 
 from .exactmath import (
     LaurentPoly,
-    Matrix2,
     QuadExt,
     Rational,
     _as_fraction,
@@ -114,18 +113,6 @@ def spectral_poly(pencil: Pencil2) -> LaurentPoly:
             (0, 2): pencil.Delta,
         }
     )
-
-
-def pencil_matrix(pencil: Pencil2, u: complex, lam: complex, b: Optional[complex] = None) -> Matrix2:
-    """The matrix A(u; lambda) with numeric entries."""
-    if b is None:
-        bsq = complex(pencil.b_sq)
-        b = (bsq) ** 0.5
-    u, lam = complex(u), complex(lam)
-    E1, E2 = complex(pencil.E1), complex(pencil.E2)
-    a, d = complex(pencil.a), complex(pencil.d)
-    k = lam / u
-    return Matrix2(u * u - E1 - k * a, -k * b, k * b, u * u - E2 - k * d)
 
 
 def resolvent_tr_det(pencil: Pencil2, u, lam, tol: float = 1e-12):

@@ -1,0 +1,63 @@
+"""Golden CLI transcripts: one JSON file per invocation in this directory.
+
+Each file holds the argv, exit code, stdout and stderr of one
+``eulerpencil.cli.main(argv)`` call run in-process.  ``tests/test_golden.py``
+replays them; rewrite them (only when an output is meant to change) with
+
+    PYTHONPATH=src python tests/golden/update.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+INVOCATIONS = {
+    "verify-all": ["verify-all", "--format", "json"],
+    "match-canonical": ["match", "--ap", "3", "--p", "13", "--format", "json"],
+    "match-canonical-table": ["match", "--ap", "3", "--p", "13"],
+    "match-48a1-pencil": ["match", "--curve", "48a1", "--max-p", "60",
+                          "--pencil", "3,1,1/2", "--format", "json"],
+    "match-27a3": ["match", "--curve", "27a3", "--max-p", "60", "--format", "json"],
+    "match-389a1-missing": ["match", "--curve", "389a1", "--max-p", "100", "--format", "json"],
+    "reduce-check-canonical": ["reduce-check", "--ap", "-4", "--p", "5", "--format", "json"],
+    "reduce-check-tau-zero": ["reduce-check", "--pencil", "0,1,1", "--ap", "2", "--p", "5",
+                              "--format", "json"],
+    "reduce-check-A-zero": ["reduce-check", "--pencil", "3,1,2.25", "--ap", "3", "--p", "11",
+                            "--format", "json"],
+    "spectral-poly": ["spectral-poly", "--pencil", "3,1,1/2", "--format", "json"],
+    "evenness": ["evenness", "--pencil", "3,1,1/2", "--format", "json"],
+    "pontryagin": ["pontryagin", "--pencil", "2,0,2", "--format", "json"],
+    "eta-gram": ["eta-gram", "--pencil", "3,1,1/2", "--c", "2", "--format", "json"],
+    "basepoint-canonical": ["basepoint", "--ap", "-4", "--p", "5", "--format", "json"],
+    "basepoint-pencil": ["basepoint", "--pencil", "3,1,1/2", "--ap", "-2", "--p", "7",
+                         "--branch", "minus", "--format", "json"],
+}
+
+
+def run(argv) -> dict:
+    """The transcript of ``cli.main(argv)`` in this process."""
+    from eulerpencil import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    return {"argv": list(argv), "exit_code": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def main() -> int:
+    for name, argv in INVOCATIONS.items():
+        text = json.dumps(run(argv), indent=2, sort_keys=True) + "\n"
+        (HERE / f"{name}.json").write_text(text)
+        print(f"wrote {name}.json", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

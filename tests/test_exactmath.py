@@ -232,6 +232,33 @@ def test_square_split_hard_cofactors(n):
     assert (s, k) == _naive_square_split(n)
 
 
+def _factorised_square_split(n):
+    """Reference: factorise n by trial division, then split each exponent by parity."""
+    s = k = 1
+    m, i = n, 2
+    while i * i <= m:
+        e = 0
+        while m % i == 0:
+            m //= i
+            e += 1
+        s *= i ** (e // 2)
+        k *= i ** (e % 2)
+        i += 1
+    return s, k * m
+
+
+@given(st.one_of(
+    st.integers(min_value=1, max_value=10**10),
+    st.builds(lambda s, k: s * s * k, st.integers(1, 10**4), st.integers(1, 10**6)),
+))
+@example(7**5)  # an odd power of the first prime on the wheel
+@example(2**5 * 3**4 * 5**3 * 7**2 * 11)  # every wheel seed prime
+@example(4 * 99991 * 99992 - 37**2)
+@settings(max_examples=200, deadline=None)
+def test_square_split_matches_a_factorisation_oracle(n):
+    assert _square_split(n) == _factorised_square_split(n)
+
+
 @given(
     rationals,
     rationals,
@@ -406,6 +433,76 @@ def test_subs_of_every_variable_is_evaluate(f, u, lam):
     assume(u != 0)
     assert f.subs(u=u, lam=lam) == f.evaluate(u, lam)
     assert f.subs(u=u).subs(lam=lam) == f.evaluate(u, lam)
+
+
+def _laurent_add(*fs):
+    """Term-by-term sum of (u, lam) polynomials, as a dict without zeros."""
+    out = {}
+    for f in fs:
+        for key, c in f.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def _laurent_mul(f, g):
+    out = {}
+    for (u1, l1), c1 in f.items():
+        for (u2, l2), c2 in g.items():
+            out[u1 + u2, l1 + l2] = out.get((u1 + u2, l1 + l2), 0) + c1 * c2
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def _laurent_subs_lam(f, g):
+    """f(u, g) term by term, each power g^jl by repeated _laurent_mul."""
+    pieces = []
+    for (ju, jl), c in f.items():
+        piece = {(ju, 0): c}
+        for _ in range(jl):
+            piece = _laurent_mul(piece, g)
+        pieces.append(piece)
+    return _laurent_add(*pieces)
+
+
+def _stored(f: LaurentPoly) -> dict:
+    """f's terms, after checking that each is a nonzero Fraction."""
+    assert all(type(c) is Fraction and c != 0 for c in f.terms.values()), f
+    return f.terms
+
+
+@given(laurents(), laurents(), rationals.filter(bool))
+@example(LaurentPoly({(1, 0): 2, (0, 1): 1}), LaurentPoly({(1, 0): -2, (0, 1): -1}),
+         Fraction(1))
+@settings(max_examples=80, deadline=None)
+def test_laurent_results_match_a_term_by_term_reference(f, g, x):
+    # each result is built in one pass; none may keep a zero coefficient
+    f_, g_ = f.terms, g.terms
+    assert _stored(f + g) == _laurent_add(f_, g_)
+    assert _stored(f - g) == _laurent_add(f_, {k: -c for k, c in g_.items()})
+    assert _stored(f + -f) == {}
+    assert _stored(f * g) == _laurent_mul(f_, g_)
+    # u -> x, lam -> x: the exponents of the substituted names go to 0
+    assert _stored(f.subs(u=x)) == _laurent_add(*({(0, jl): c * x**ju} for (ju, jl), c in f_.items()))
+    assert _stored(f.subs(lam=x)) == _laurent_add(*({(ju, 0): c * x**jl} for (ju, jl), c in f_.items()))
+    # lam -> g, and lam -> u so that f (lam - u) cancels to 0
+    assert _stored(f.subs(lam=g)) == _laurent_subs_lam(f_, g_)
+    assert _stored((f * (LaurentPoly.term(1, lam=1) - U)).subs(lam=U)) == {}
+
+
+def test_subs_by_a_value_over_new_names_pads_earlier_terms():
+    f = LaurentPoly({(2, 0): 3, (0, 1): 1, (1, 1): -1})
+    t = LaurentPoly.term(1, t=1)
+    got = f.subs(lam=t + U)
+    assert got.vars == ("u", "lam", "t")
+    assert _stored(got) == {(2, 0, 0): 2, (0, 0, 1): 1, (1, 0, 0): 1, (1, 0, 1): -1}
+    assert f.subs(lam=t - t) == 3 * U**2
+
+
+def test_subs_keeps_rejecting_inexact_values():
+    f = LaurentPoly({(2, 0): 3, (0, 1): 1})
+    with pytest.raises(TypeError):
+        f.subs(u=1.5)
+    with pytest.raises(TypeError):
+        LaurentPoly({(0, 0): 0.5})
 
 
 @given(laurents(), laurents(max_lam=1))

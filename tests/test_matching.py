@@ -17,6 +17,7 @@ from eulerpencil.exactmath import DegenerateQuadraticError, LaurentPoly, QuadExt
 from eulerpencil.matching import (
     CANONICAL_PARAMS,
     HasseViolationError,
+    ReductionFailureError,
     basepoint_for,
     basepoint_solve,
     canonical_basepoint,
@@ -211,6 +212,65 @@ def test_reduction_identity_holds_generically():
     assert matching._master_reduction() == (-Y / tau**2, 0)
 
 
+_U, _TAU, _Q = (LaurentPoly.term(1, **{name: 1}) for name in ("u", "tau", "q"))
+
+
+@pytest.mark.parametrize("quot, rem, message", [
+    (-_U**2 / _TAU**2, _Q - Fraction(1, 11), "nonzero remainder"),
+    (-_U**2 / _TAU**2 + _U, LaurentPoly(), "not a nonzero multiple of Y"),
+    (-_U**4 / _TAU**2, LaurentPoly(), "not a nonzero multiple of Y"),
+    (_TAU - _TAU, LaurentPoly(), "not a nonzero multiple of Y"),
+    (LaurentPoly.term(1, tau=-2), LaurentPoly(), "not a nonzero multiple of Y"),
+    (LaurentPoly({(-2,): -1}, ("tau",)), LaurentPoly(), "not a nonzero multiple of Y"),
+])
+def test_symbolic_reduction_rejects_a_wrong_master_reduction(monkeypatch, quot, rem, message):
+    # the per-case check still reads the specialised remainder and quotient
+    assert symbolic_reduction_check(3, 1, Fraction(1, 2), 2, 13)
+    monkeypatch.setattr(matching, "_master_reduction", lambda: (quot, rem))
+    with pytest.raises(ReductionFailureError, match=message):
+        symbolic_reduction_check(3, 1, Fraction(1, 2), 2, 13)
+
+
+# -- the pencil cache ---------------------------------------------------------
+
+
+def test_pencil_cache_cold_and_warm_give_equal_reports():
+    calls = [(params, a_p, p, branch) for params, a_p, p in [
+        ("canonical", -4, 5), ((3, 1, Fraction(1, 2)), -2, 7), ((3, 1, Fraction(9, 4)), 3, 11),
+        ((Fraction(-31, 20), Fraction(-29, 4), Fraction(-491, 50)), 5, 10007),
+        ("canonical", 50, 99991)] for branch in ("plus", "minus")]
+    cold = []
+    for call in calls:
+        matching._pencil_and_poly.cache_clear()
+        cold.append(euler_match_verify(*call))
+    for call in calls:
+        euler_match_verify(*call)
+    hits = matching._pencil_and_poly.cache_info().hits
+    warm = [euler_match_verify(*call) for call in calls]
+    assert matching._pencil_and_poly.cache_info().hits == hits + len(calls)
+    assert cold == warm
+
+
+def test_pencil_cache_keys_on_the_exact_triple():
+    matching._pencil_and_poly.cache_clear()
+    for params in ("canonical", (2, 0, 2), CANONICAL_PARAMS,
+                   (Fraction(4, 2), Fraction(0, 5), Fraction(6, 3))):
+        euler_match_verify(params, -4, 5)
+    info = matching._pencil_and_poly.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    pen, poly = matching._pencil_and_poly(*CANONICAL_PARAMS)
+    assert pen == pencil_from_tdd(2, 0, 2) and poly == spectral_poly(pen)
+
+
+def test_pencil_cache_is_bounded():
+    matching._pencil_and_poly.cache_clear()
+    bound = matching._pencil_and_poly.cache_info().maxsize
+    assert bound is not None
+    for tau in range(1, 2 * bound + 2):
+        euler_match_verify((tau, 1, 1), 0, 5)
+    assert matching._pencil_and_poly.cache_info().currsize == bound
+
+
 def _fresh(code: str) -> str:
     src = str(Path(eulerpencil.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -224,6 +284,14 @@ def test_reduction_is_derived_once_per_process_and_not_at_import():
     out = _fresh(f"import eulerpencil; from eulerpencil import acceptance, matching; "
                  f"print({misses}); acceptance.run_all(); print({misses})")
     assert out == ["0", "1"]
+
+
+def test_pencils_are_cached_on_first_use_not_at_import():
+    size = "matching._pencil_and_poly.cache_info().currsize"
+    out = _fresh(f"from eulerpencil import cli, matching; print({size}); "
+                 f"cli.main(['match', '--curve', '48a1', '--max-p', '60', '--pencil', '3,1,1/2']); "
+                 f"print({size}, matching._pencil_and_poly.cache_info().hits)")
+    assert out[0] == "0" and out[-2:] == ["1", "14"]
 
 
 # -- off-shell distance and CD ratio ------------------------------------------

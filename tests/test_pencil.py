@@ -22,7 +22,6 @@ from eulerpencil.pencil import (
     lambda_evenness_check,
     monomial_gram8,
     pencil_from_tdd,
-    pencil_matrix,
     pontryagin_index,
     resolvent_tr_det,
     spectral_poly,
@@ -32,6 +31,13 @@ from eulerpencil.pencil import (
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4
 )
+
+
+def pencil_matrix(pen, u: complex, lam: complex, b: complex) -> Matrix2:
+    """The oracle: A(u; lambda) = u^2 I - diag(E1, E2) - (lambda/u) ((a, b), (-b, d)), numerically."""
+    E1, E2, a, d = (complex(v) for v in (pen.E1, pen.E2, pen.a, pen.d))
+    k = lam / u
+    return Matrix2(u * u - E1 - k * a, -k * b, k * b, u * u - E2 - k * d)
 
 
 @st.composite
