@@ -147,7 +147,7 @@ def resolve_pencil(args) -> pencil.Pencil2:
 
 def _basepoint_payload(bp: matching.Basepoint) -> dict:
     return {
-        "w": bp.w if isinstance(bp.w, exactmath.QuadExt) else complex(bp.w),
+        "w": bp.w,
         "u": bp.u,
         "lambda": bp.lam,
         "branch": bp.branch,

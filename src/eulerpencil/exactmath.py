@@ -530,34 +530,6 @@ class LaurentPoly:
                 out[k] = out.get(k, 0) + c2
         return LaurentPoly._of(out, vars)
 
-    def divrem(self, divisor: "LaurentPoly", var: str):
-        """(quotient, remainder) of division by ``divisor`` as polynomials in ``var``.
-
-        The other names form the coefficient ring, so the divisor's leading
-        coefficient in ``var`` must be a single term (a unit); the remainder
-        has lower degree in ``var`` than the divisor.
-        """
-        n, lead = divisor._top(var)
-        inverse = 1 / lead
-        x = LaurentPoly.term(1, **{var: 1})
-        quot, rem = LaurentPoly({}, self.vars), self
-        while rem.terms:
-            m, top = rem._top(var)
-            if m < n:
-                break
-            step = top * inverse * x ** (m - n)
-            quot, rem = quot + step, rem - step * divisor
-        return quot, rem
-
-    def _top(self, var: str):
-        """(degree in ``var``, its coefficient there as a var-free polynomial)."""
-        if var not in self.vars:
-            return 0, self
-        i = self.vars.index(var)
-        m = max((key[i] for key in self.terms), default=0)
-        top = {key[:i] + (0,) + key[i + 1:]: c for key, c in self.terms.items() if key[i] == m}
-        return m, LaurentPoly._of(top, self.vars)
-
     def evaluate(self, *point):
         """Evaluate at one scalar per variable, in the order of ``vars``.
 

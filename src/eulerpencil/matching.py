@@ -38,7 +38,7 @@ class HasseViolationError(ValueError):
 
 
 class ReductionFailureError(ValueError):
-    """Raised if the symbolic reduction leaves a nonzero remainder."""
+    """Raised if the generic symbolic reduction to the master quadratic fails."""
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,8 @@ def canonical_basepoint(a_p: int, p: int, branch: str = "plus") -> Basepoint:
     w = QuadExt(Fraction(a_p, 2 * p), Fraction(sign, 2 * p), Fraction(disc))
     u = cmath.sqrt(w.to_complex())
     lam = u**3 - a_p * u / (2 * p)
-    return Basepoint(w=w, u=u, lam=lam, branch=branch, sheet=_classify_sheet(w.to_complex()))
+    sheet = "real" if w.sign() > 0 else "imaginary"  # w is real: Delta_p > 0
+    return Basepoint(w=w, u=u, lam=lam, branch=branch, sheet=sheet)
 
 
 def basepoint_for(params, a_p: int, p: int, branch: str = "plus") -> Basepoint:
@@ -240,44 +241,36 @@ def symbolic_reduction_check(tau, delta, Delta, a_p: int, p: int) -> bool:
     """Exact reduction of the matching system to the master quadratic.
 
     lambda(u) = (2u^3 - a u)/tau turns P(u, lambda) - q u^2, a = a_p/p and
-    q = 1/p, into k Y (A Y^2 + B Y + C) with Y = u^2 and k = -1/tau^2.  That
-    is derived once, generically; each call checks its remainder (0) and
-    quotient (k Y, k != 0) at the call's numbers.
+    q = 1/p, into -Y (A Y^2 + B Y + C)/tau^2 with Y = u^2.  That identity is
+    proven once, generically, by ``_master_reduction``; each call checks only
+    its hypotheses: exact tau, delta, Delta, a and q, and tau != 0.
     """
     tau, delta, Delta = (_as_fraction(v) for v in (tau, delta, Delta))
     if tau == 0:
         raise DegenerateQuadraticError("tau = 0: route through the ZCO path")
-    point = dict(tau=tau, delta=delta, Delta=Delta, a=Fraction(a_p, p), q=Fraction(1, p))
-    quot, rem = (f.subs(**point) for f in _master_reduction())
-    if rem.terms:
-        raise ReductionFailureError(f"nonzero remainder {rem}")
-    # tau, delta, Delta, a and q are substituted here and lambda before the
-    # division, so k Y (k != 0) is one term: exponent 2 in u, 0 in every other name
-    at_Y = tuple(2 * (v == "u") for v in quot.vars)
-    if "u" not in quot.vars or list(quot.terms) != [at_Y]:
-        raise ReductionFailureError(f"quotient {quot} is not a nonzero multiple of Y")
-    return True
+    Fraction(a_p, p)  # a and q: TypeError unless a_p and p are exact, ZeroDivisionError at p = 0
+    return _master_reduction()
 
 
 @functools.cache
-def _master_reduction() -> tuple[LaurentPoly, LaurentPoly]:
-    """(quotient, remainder) of P(u, lambda(u)) - q u^2 by A Y^2 + B Y + C.
+def _master_reduction() -> bool:
+    """Prove tau^2 (P(u, lambda(u)) - q Y) = -Y (A Y^2 + B Y + C), once, on first use.
 
-    Over Q[tau^+-1, delta, Delta, a, q], on first use: P is ``spectral_poly``
-    of the pencil with these invariants, A, B, C are ``master_quadratic``'s,
-    and the division is in q, where the leading coefficient tau^2 is a unit.
-    ReductionFailureError unless the remainder is 0 and the quotient -Y/tau^2.
+    Over Q[tau^+-1, delta, Delta, a, q]: P is ``spectral_poly`` of the pencil
+    with these invariants, A, B, C are ``master_quadratic``'s, Y = u^2 and
+    lambda(u) = (2u^3 - a u)/tau.  Multiplying back states the division by
+    the unit tau^2; ReductionFailureError if the two sides differ.
     """
     names = ("tau", "delta", "Delta", "a", "q", "u")
     tau, delta, Delta, a, q, u = (LaurentPoly.term(1, **{name: 1}) for name in names)
     Y = u * u
-    lam = (2 * u**3 - a * u) / tau
-    reduced = spectral_poly(pencil_from_tdd(tau, delta, Delta)).subs(lam=lam) - q * Y
+    P = spectral_poly(pencil_from_tdd(tau, delta, Delta))
     A, B, C = _master_coefficients(tau, delta, Delta, a, q)
-    quot, rem = reduced.divrem(A * Y * Y + B * Y + C, "q")
-    if rem != 0 or quot != -Y / tau**2:
-        raise ReductionFailureError(f"remainder {rem} and quotient {quot}: no reduction")
-    return quot, rem
+    lhs = tau**2 * (P.subs(lam=(2 * u**3 - a * u) / tau) - q * Y)
+    rhs = -Y * (A * Y * Y + B * Y + C)
+    if lhs != rhs:
+        raise ReductionFailureError(f"{lhs} != {rhs}: no reduction")
+    return True
 
 
 def discriminant_identity(a_p: int, p: int):

@@ -187,14 +187,13 @@ def eta_gram(pencil: Pencil2, c=1) -> EtaGram:
     """G_ij(lambda) = c * Res_{u=0} phi_i(-u)^T J phi_j(u) / u.
 
     The bilinear products are arranged so only b_sq (never b itself)
-    enters the diagonal; the b-linear off-diagonal residues vanish
-    identically and are computed up to the rational factor b, which is
-    exact because they are zero.
+    enters the diagonal.  The off-diagonal entries are b times the residues
+    of (lambda/u)(f1(-u) - f2(u))/u and (lambda/u)(f2(-u) - f1(u))/u, whose
+    terms are at u^-2 and u^-3 only, so G12 = G21 = {} identically.
     """
     c = _as_fraction(c)
     f1, f2 = _adjugate_diagonal(pencil)
     uinv = LaurentPoly.term(1, u=-1)
-    lam_uinv = LaurentPoly.term(1, u=-1, lam=1)
     bsq_l2_u2 = LaurentPoly.term(pencil.b_sq, u=-2, lam=2)
     f1_flip, f2_flip = (f.subs(u=-LaurentPoly.term(1, u=1)) for f in (f1, f2))  # u -> -u
 
@@ -202,23 +201,11 @@ def eta_gram(pencil: Pencil2, c=1) -> EtaGram:
     g11 = residue_at_zero((f1_flip * f1 + bsq_l2_u2) * uinv)
     # G22 = res[(-b^2 l^2/u^2 - f2(-u) f2(u))/u]
     g22 = residue_at_zero((-bsq_l2_u2 - f2_flip * f2) * uinv)
-    # G12 = b * res[(l/u)(f1(-u) - f2(u))/u]; G21 = b * res[(l/u)(f2(-u) - f1(u))/u]
-    g12 = residue_at_zero(lam_uinv * (f1_flip - f2) * uinv)
-    g21 = residue_at_zero(lam_uinv * (f2_flip - f1) * uinv)
-    if g12 or g21:
-        # Only reachable if the N=2 off-diagonal vanishing ever failed; the
-        # rational residues would then need scaling by an exact b.
-        b = pencil.b_exact()
-        g12 = {k: b * v for k, v in g12.items()}
-        g21 = {k: b * v for k, v in g21.items()}
 
     def scale(entry):
         return {k: c * v for k, v in entry.items() if c * v != 0}
 
-    return EtaGram(
-        entries=((scale(g11), scale(g12)), (scale(g21), scale(g22))),
-        c=c,
-    )
+    return EtaGram(entries=((scale(g11), {}), ({}, scale(g22))), c=c)
 
 
 def lambda_evenness_check(gram: EtaGram) -> bool:

@@ -37,6 +37,21 @@ INVOCATIONS = {
     "basepoint-canonical": ["basepoint", "--ap", "-4", "--p", "5", "--format", "json"],
     "basepoint-pencil": ["basepoint", "--pencil", "3,1,1/2", "--ap", "-2", "--p", "7",
                          "--branch", "minus", "--format", "json"],
+    # the README's CLI examples, as written there
+    "readme-match": ["match", "--ap", "-4", "--p", "5"],
+    "readme-basepoint": ["basepoint", "--ap", "2", "--p", "13", "--branch", "minus"],
+    "readme-ap": ["ap", "--curve", "32a2", "--max-p", "100"],
+    "readme-j": ["j", "--tau", "2", "--delta", "0", "--Delta", "2"],
+    "readme-zco": ["zco"],
+    "readme-universality": ["universality", "--z", "2.0", "--dispersion", "tanh"],
+    "readme-sato-tate": ["sato-tate", "--curve", "256b2", "--X", "10000"],
+    "readme-verify-all": ["verify-all"],
+    # domain errors raised by the library (exit 2)
+    "cornacchia-not-prime": ["cornacchia", "--p", "21"],
+    "basepoint-hasse-violation": ["basepoint", "--ap", "100", "--p", "5"],
+    # the canonical pencil at large p: the float residual_det exceeds the default 1e-9 (FAIL)
+    "match-canonical-p10007": ["match", "--ap", "7", "--p", "10007", "--format", "json"],
+    "match-canonical-p99991": ["match", "--ap", "50", "--p", "99991", "--format", "json"],
 }
 
 

@@ -505,21 +505,6 @@ def test_subs_keeps_rejecting_inexact_values():
         LaurentPoly({(0, 0): 0.5})
 
 
-@given(laurents(), laurents(max_lam=1))
-@settings(max_examples=60, deadline=None)
-def test_divrem_reconstructs_in_a_variable_with_unit_lead(f, g):
-    # divide in lam by m lam^2 + g, m a single term, deg_lam g <= 1: f = q d + r, deg_lam r < 2
-    d = LaurentPoly.term(Fraction(-2, 3), u=-1, lam=2) + g
-    q, r = f.divrem(d, "lam")
-    assert q * d + r == f
-    assert all(jl < 2 for (_, jl) in r.terms)
-
-
-def test_divrem_needs_a_unit_leading_coefficient():
-    with pytest.raises(ValueError, match="not a unit"):
-        U.divrem(LaurentPoly({(1, 1): 1, (0, 1): 1}), "lam")
-
-
 @given(laurents(), laurents())
 @settings(max_examples=60, deadline=None)
 def test_residue_is_linear(f, g):

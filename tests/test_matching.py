@@ -1,6 +1,7 @@
 """Per-prime Euler-factor matching tests."""
 
 import cmath
+import math
 import os
 import subprocess
 import sys
@@ -78,6 +79,19 @@ def test_canonical_branch_law(pair):
     delta_p, d_p, total = discriminant_identity(a_p, p)
     assert delta_p > 4 * p  # strict: a_p^2 < 4p under Hasse
     assert total == 4 * p * p
+
+
+def test_canonical_sheet_is_exact_on_every_hasse_pair_to_3000():
+    # w+ w- = (2 a_p^2 - 4p(p+1))/(4p^2) < 0 under Hasse: w+ > 0 is real, w- < 0 imaginary;
+    # the exact sign agrees with the float classification everywhere
+    for p in primes_upto(3000):
+        bound = math.isqrt(4 * p)
+        for a_p in range(-bound, bound + 1):
+            plus, minus = (canonical_basepoint(a_p, p, b) for b in ("plus", "minus"))
+            assert (plus.sheet, minus.sheet) == ("real", "imaginary")
+            assert (plus.w * minus.w).sign() == -1
+            for bp in (plus, minus):
+                assert matching._classify_sheet(bp.w.to_complex()) == bp.sheet
 
 
 def test_canonical_basepoint_hasse_guard():
@@ -198,6 +212,13 @@ def test_symbolic_reduction_rejects_non_rationals():
         symbolic_reduction_check(2.0, 0, 2, -4, 5)
     with pytest.raises(TypeError):
         symbolic_reduction_check(2, 0, 2, -4.0, 5)
+    with pytest.raises(TypeError):
+        symbolic_reduction_check(2, 0, 2, -4, 5.0)
+
+
+def test_symbolic_reduction_needs_a_nonzero_p():
+    with pytest.raises(ZeroDivisionError):
+        symbolic_reduction_check(2, 0, 2, -4, 0)
 
 
 def test_reduction_identity_holds_generically():
@@ -206,29 +227,37 @@ def test_reduction_identity_holds_generically():
     tau, delta, Delta, a, q, u = (LaurentPoly.term(1, **{name: 1})
                                   for name in ("tau", "delta", "Delta", "a", "q", "u"))
     Y = u * u
+    lam = (2 * u**3 - a * u) / tau
     P = spectral_poly(pencil_from_tdd(tau, delta, Delta))
     A, B, C = matching._master_coefficients(tau, delta, Delta, a, q)
-    assert tau**2 * (P.subs(lam=(2 * u**3 - a * u) / tau) - q * Y) == -Y * (A * Y * Y + B * Y + C)
-    assert matching._master_reduction() == (-Y / tau**2, 0)
+    assert tau**2 * (P.subs(lam=lam) - q * Y) == -Y * (A * Y * Y + B * Y + C)
+    # the corollary: on lam(u) the resolvent numerator u (2u^3 - tau lam) is a u^2
+    assert u * (2 * u**3 - tau * lam) == a * u**2
+    assert matching._master_reduction.__wrapped__() is True
 
 
-_U, _TAU, _Q = (LaurentPoly.term(1, **{name: 1}) for name in ("u", "tau", "q"))
+def _with_coefficients(change):
+    real = matching._master_coefficients
+    return "_master_coefficients", lambda tau, delta, Delta, a, q: change(
+        *real(tau, delta, Delta, a, q), q)
 
 
-@pytest.mark.parametrize("quot, rem, message", [
-    (-_U**2 / _TAU**2, _Q - Fraction(1, 11), "nonzero remainder"),
-    (-_U**2 / _TAU**2 + _U, LaurentPoly(), "not a nonzero multiple of Y"),
-    (-_U**4 / _TAU**2, LaurentPoly(), "not a nonzero multiple of Y"),
-    (_TAU - _TAU, LaurentPoly(), "not a nonzero multiple of Y"),
-    (LaurentPoly.term(1, tau=-2), LaurentPoly(), "not a nonzero multiple of Y"),
-    (LaurentPoly({(-2,): -1}, ("tau",)), LaurentPoly(), "not a nonzero multiple of Y"),
-])
-def test_symbolic_reduction_rejects_a_wrong_master_reduction(monkeypatch, quot, rem, message):
-    # the per-case check still reads the specialised remainder and quotient
+@pytest.mark.parametrize("name, wrong", [
+    _with_coefficients(lambda A, B, C, q: (A, B, C + q)),
+    _with_coefficients(lambda A, B, C, q: (A, B + 1, C)),
+    _with_coefficients(lambda A, B, C, q: (2 * A, B, C)),
+    ("spectral_poly", lambda pen: spectral_poly(pen) - pen.Delta * LaurentPoly.term(1, lam=2)),
+], ids=["C+q", "B+1", "2A", "P-without-lam^2"])
+def test_symbolic_reduction_rejects_a_wrong_master_reduction(monkeypatch, name, wrong):
+    # the real derivation, run on a wrong master quadratic or a wrong P, fails
     assert symbolic_reduction_check(3, 1, Fraction(1, 2), 2, 13)
-    monkeypatch.setattr(matching, "_master_reduction", lambda: (quot, rem))
-    with pytest.raises(ReductionFailureError, match=message):
-        symbolic_reduction_check(3, 1, Fraction(1, 2), 2, 13)
+    monkeypatch.setattr(matching, name, wrong)
+    matching._master_reduction.cache_clear()
+    try:
+        with pytest.raises(ReductionFailureError, match="no reduction"):
+            symbolic_reduction_check(3, 1, Fraction(1, 2), 2, 13)
+    finally:
+        matching._master_reduction.cache_clear()
 
 
 # -- the pencil cache ---------------------------------------------------------

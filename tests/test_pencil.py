@@ -196,6 +196,26 @@ def test_eta_gram_diagonal_even_index(pen):
         assert pontryagin_index(g) == 1
 
 
+def test_eta_gram_off_diagonals_vanish_identically():
+    # generic in (E1, E2, a, d, b): with phi1 = (f1, -b lam/u) and phi2 = (b lam/u, f2),
+    # phi1(-u)^T J phi2(u)/u = b (lam/u)(f1(-u) - f2(u))/u and
+    # phi2(-u)^T J phi1(u)/u = b (lam/u)(f2(-u) - f1(u))/u have terms at u^-2 and u^-3
+    # only, so no residue: eta_gram leaves G12 = G21 = {} without computing them
+    E1, E2, a, d, b, u, lam = _names("E1", "E2", "a", "d", "b", "u", "lam")
+    pen = pencil_mod.Pencil2(E1=E1, E2=E2, a=a, d=d, b_sq=b * b)
+    f1, f2 = pencil_mod._adjugate_diagonal(pen)
+    off = b * lam / u
+    phi1, phi2 = (f1, -off), (off, f2)
+
+    def pair(x, y):  # x(-u)^T J y(u) / u
+        x0, x1 = (f.subs(u=-u) for f in x)
+        return (x0 * y[0] - x1 * y[1]) / u
+
+    for g, (fa, fb) in ((pair(phi1, phi2), (f1, f2)), (pair(phi2, phi1), (f2, f1))):
+        assert g == off * (fa.subs(u=-u) - fb) / u
+        assert {key[g.vars.index("u")] for key in g.terms} == {-2, -3}
+
+
 def test_eta_gram_scale_linearity():
     pen = pencil_from_tdd(2, 0, 2)
     g1 = eta_gram(pen, 1)
