@@ -52,6 +52,13 @@ INVOCATIONS = {
     # the canonical pencil at large p: the float residual_det exceeds the default 1e-9 (FAIL)
     "match-canonical-p10007": ["match", "--ap", "7", "--p", "10007", "--format", "json"],
     "match-canonical-p99991": ["match", "--ap", "50", "--p", "99991", "--format", "json"],
+    # the g = 0 operator off shell, the eta-Gram at c = 0, and the monomial Gram
+    "zco-c": ["zco-c", "--c", "3/2", "--u", "0.3+0.4i", "--format", "json"],
+    "zco-c-u-zero": ["zco-c", "--c", "1", "--u", "0"],
+    "pontryagin-E-zero": ["pontryagin", "--E", "0"],
+    "eta-gram-c-zero": ["eta-gram", "--pencil", "3,1,1/2", "--E", "2", "--c", "0",
+                        "--format", "json"],
+    "monomial-gram": ["monomial-gram", "--format", "json"],
 }
 
 
