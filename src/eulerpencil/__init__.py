@@ -1,8 +1,8 @@
 """Finite-dimensional operator encoding of L-function Euler factors.
 
 Exact basepoint solving via the master quadratic, per-prime Euler-factor
-matching, the j-invariant moduli map of 2x2 causal pencils, eta-Gram residue
-algebra, and the continuum/statistical limits (arcsine universality,
+matching, the j-invariant moduli map of 2x2 causal pencils, the eta-Gram in
+closed form, and the continuum/statistical limits (arcsine universality,
 CM Sato-Tate, accumulation).
 """
 
@@ -13,7 +13,6 @@ from .exactmath import (
     Rational,
     group_pseudoinverse2,
     quad_roots,
-    residue_at_zero,
 )
 from .curves import (
     CatalogueEntry,
@@ -31,7 +30,6 @@ from .curves import (
 from .pencil import (
     EtaGram,
     Pencil2,
-    adjugate_columns,
     eta_gram,
     j1728_locus_Q,
     j_formula,

@@ -331,8 +331,7 @@ def criterion_10_quartic() -> CriterionResult:
 
 def criterion_11_zco() -> CriterionResult:
     checks = []
-    u, lam = matching.zco_basepoint()
-    m = matching.zco_matrix(u, lam)
+    m = matching.zco_matrix(*matching.ZCO_ON_SHELL)
     checks.append(abs(m.det()) <= 1e-12)
     checks.append(abs(m.trace() - 1) <= 1e-12)
     aplus = exactmath.group_pseudoinverse2(m)

@@ -377,12 +377,11 @@ def cmd_tco(args):
 @command("zco")
 def cmd_zco(args):
     u, lam = matching.zco_basepoint()
-    m = matching.zco_matrix(u, lam)
-    return {
-        "u": u, "lambda": lam, "det": m.det(), "trace": m.trace(),
-        "pinv_trace": exactmath.group_pseudoinverse2(m).trace(),
-        "euler_factor_at_half": matching.zco_euler_factor(0.5),
-    }
+    m = matching.zco_matrix(*matching.ZCO_ON_SHELL)
+    exact = {"det": m.det(), "trace": m.trace(),
+             "pinv_trace": exactmath.group_pseudoinverse2(m).trace(),
+             "euler_factor_at_half": matching.zco_euler_factor(Fraction(1, 2))}
+    return {"u": u, "lambda": lam, **{k: complex(v) for k, v in exact.items()}}
 
 
 @command("zco-c", opt("--c", required=True),

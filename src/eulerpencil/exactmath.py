@@ -280,10 +280,6 @@ class QuadExt:
         """Field norm x^2 - d*y^2 (a rational)."""
         return Fraction(self._X * self._X - self._k * self._Y * self._Y, self._Z * self._Z)
 
-    @property
-    def is_rational(self) -> bool:
-        return not self._Y
-
     def sign(self) -> int:
         """Sign of the real value x + y*sqrt(d); requires d >= 0."""
         if self._k < 0:
@@ -561,16 +557,6 @@ def _scalar_pow(base, n: int):
     return 1 / (base ** (-n))
 
 
-def residue_at_zero(f: LaurentPoly) -> dict[int, Fraction]:
-    """Coefficient of u^{-1} in f(u, lam), as a map lambda-exponent -> coefficient."""
-    iu, il = f.vars.index("u"), f.vars.index("lam")
-    out: dict[int, Fraction] = {}
-    for key, c in f.terms.items():
-        if key[iu] == -1:
-            out[key[il]] = out.get(key[il], Fraction(0)) + c
-    return {jl: c for jl, c in out.items() if c != 0}
-
-
 @dataclass(frozen=True)
 class Matrix2:
     """A 2x2 matrix over any scalar ring supporting +, -, *."""
@@ -603,17 +589,17 @@ class Matrix2:
         )
 
 
-def group_pseudoinverse2(m: Matrix2, tol: float = 1e-10) -> Matrix2:
+def group_pseudoinverse2(m: Matrix2) -> Matrix2:
     """Group (spectral) inverse of a rank-1 2x2 matrix: m / tr(m)^2.
 
     For a rank-1 matrix with nonzero eigenvalue mu = tr(m), this inverts the
     spectral projection (eigenvalue mu -> 1/mu, kernel preserved), so its
     trace is 1/mu.  This differs from the Moore-Penrose inverse whenever m is
-    not normal.
+    not normal.  The rank-1 test det(m) == 0 is exact, so pass exact entries.
     """
     tr = m.trace()
-    if abs(m.det()) > tol * max(1.0, abs(tr) ** 2):
-        raise ValueError(f"matrix is not rank-1 within tol: det = {m.det()}")
+    if m.det() != 0:
+        raise ValueError(f"matrix is not rank-1: det = {m.det()}")
     if tr == 0:
         raise ZeroDivisionError("nilpotent rank-1 matrix has no group inverse")
     return m.scale(1 / (tr * tr))

@@ -28,9 +28,11 @@ from .exactmath import (
     group_pseudoinverse2,
     quad_roots,
 )
-from .pencil import Pencil2, _resolvent_at, pencil_from_tdd, spectral_poly, zco_pencil
+from .pencil import Pencil2, _resolvent_at, pencil_from_tdd, spectral_poly
 
 CANONICAL_PARAMS = (Fraction(2), Fraction(0), Fraction(2))
+#: (u^2, k = lambda/u) at the ZCO basepoint u = 1/sqrt(2), lambda = (u^5 - u)/2
+ZCO_ON_SHELL = (Fraction(1, 2), Fraction(-3, 8))
 
 
 class HasseViolationError(ValueError):
@@ -318,29 +320,25 @@ def zco_basepoint() -> tuple[complex, complex]:
     return complex(u), complex(lam)
 
 
-def zco_matrix(u: complex, lam: complex, c=0) -> Matrix2:
-    """The ZCO pencil matrix, optionally with the DC term diag(c,-c) u^{-2}."""
-    u, lam = complex(u), complex(lam)
-    c = complex(c)
-    k = lam / u
-    return Matrix2(
-        u * u - 1 - k + c / (u * u),
-        -k,
-        k,
-        u * u + 1 + k - c / (u * u),
-    )
+def zco_matrix(u_sq, k, c=0) -> Matrix2:
+    """The ZCO pencil matrix u^2 I - diag(1, -1) - k ((1, 1), (-1, -1)), k = lambda/u.
+
+    Plus the DC term diag(c, -c) u^{-2} (none at c = 0).  Exact inputs stay exact.
+    """
+    dc = c / u_sq
+    return Matrix2(u_sq - 1 - k + dc, -k, k, u_sq + 1 + k - dc)
 
 
-def zco_euler_factor(tau_var: complex) -> complex:
+def zco_euler_factor(tau_var):
     """det_reg(I - tau_var A^+) = 1 - tau_var tr(A^+) at the ZCO basepoint.
 
-    A is rank-1 on shell with nonzero eigenvalue mu = tr(A) = 2u^2 = 1, so
-    the on-shell (group) pseudoinverse has trace 1/mu = 1 and the factor is
-    1 - tau_var: with tau_var = p^{-s} this is the local inverse zeta factor.
+    On shell A = zco_matrix(*ZCO_ON_SHELL) = ((-1/8, 3/8), (-3/8, 9/8)) is
+    idempotent (det A = 0, tr A = 1, A^2 = A), so its group pseudoinverse is
+    A^+ = A and the factor is exactly 1 - tau_var: with tau_var = p^{-s} this
+    is the local inverse zeta factor.
     """
-    u, lam = zco_basepoint()
-    aplus = group_pseudoinverse2(zco_matrix(u, lam))
-    return 1 - complex(tau_var) * aplus.trace()
+    aplus = group_pseudoinverse2(zco_matrix(*ZCO_ON_SHELL))
+    return 1 - tau_var * aplus.trace()
 
 
 def zco_c_trace_invariance(c, u: complex, tol: float = 1e-12) -> bool:
@@ -348,9 +346,10 @@ def zco_c_trace_invariance(c, u: complex, tol: float = 1e-12) -> bool:
     u = complex(u)
     if u == 0:
         raise ZeroDivisionError("u = 0")
-    lam = (u**5 - u) / 2  # any lambda works; use the spectral-curve value
-    m = zco_matrix(u, lam, c)
-    return abs(m.trace() - 2 * u * u) <= tol
+    u_sq = u * u
+    # any k works; use the spectral-curve value k = (u^4 - 1)/2
+    m = zco_matrix(u_sq, (u_sq * u_sq - 1) / 2, c)
+    return abs(m.trace() - 2 * u_sq) <= tol
 
 
 def golden_ratio_spectrum() -> tuple[QuadExt, QuadExt]:

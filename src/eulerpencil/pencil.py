@@ -2,8 +2,8 @@
 
 A(u; lambda) = u^2 I - diag(E1, E2) - (lambda/u) V with V = ((a, b), (-b, d))
 and fundamental symmetry J = diag(1, -1).  This module computes the spectral
-polynomial, resolvent trace/determinant closed forms, adjugate columns, the
-eta-Gram residue pairing with its lambda-evenness and Pontryagin index, the
+polynomial, resolvent trace/determinant closed forms, the eta-Gram residue
+pairing in closed form with its lambda-evenness and Pontryagin index, the
 j-invariant moduli map with its special loci, and the 8-dimensional monomial
 Gram.
 """
@@ -13,16 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .exactmath import (
-    LaurentPoly,
-    QuadExt,
-    Rational,
-    _as_fraction,
-    _exact_sqrt,
-    residue_at_zero,
-)
+from .exactmath import LaurentPoly, QuadExt, Rational, _as_fraction
 
 
 class OnShellError(ValueError):
@@ -71,13 +63,6 @@ class Pencil2:
     @property
     def is_canonical_background(self) -> bool:
         return self.E2 == -self.E1
-
-    def b_exact(self) -> Rational:
-        """b as an exact rational, if b_sq is a perfect rational square."""
-        root = _exact_sqrt(self.b_sq)
-        if root is None:
-            raise ValueError(f"b_sq={self.b_sq} has no exact rational square root")
-        return root
 
 
 def pencil_from_tdd(tau, delta, Delta, E=1) -> Pencil2:
@@ -143,31 +128,6 @@ def _resolvent_at(pencil: Pencil2, u, lam, P, tol: float):
     return u * (2 * u**3 - tau * lam) / P, u * u / P
 
 
-def _adjugate_diagonal(pencil: Pencil2) -> tuple[LaurentPoly, LaurentPoly]:
-    """The diagonal cofactors f1 = u^2 - E2 - d lambda/u, f2 = u^2 - E1 - a lambda/u."""
-    f1 = LaurentPoly({(2, 0): 1, (0, 0): -pencil.E2, (-1, 1): -pencil.d})
-    f2 = LaurentPoly({(2, 0): 1, (0, 0): -pencil.E1, (-1, 1): -pencil.a})
-    return f1, f2
-
-
-def adjugate_columns(pencil: Pencil2, b: Optional[Rational] = None):
-    """Columns (phi1, phi2) of adj A(u; lambda), each a LaurentPoly pair.
-
-    Computed from 2x2 cofactors of A = u^2 I - diag(E1,E2) - (lambda/u) V:
-    phi1 = (u^2 - E2 - d lambda/u, -b lambda/u),
-    phi2 = (b lambda/u, u^2 - E1 - a lambda/u).
-    Requires an exact rational b (default: sqrt of b_sq when perfect).
-    """
-    if b is None:
-        b = pencil.b_exact()
-    b = _as_fraction(b)
-    f1, f2 = _adjugate_diagonal(pencil)
-    off = LaurentPoly.term(b, u=-1, lam=1)
-    phi1 = (f1, -off)
-    phi2 = (off, f2)
-    return phi1, phi2
-
-
 @dataclass(frozen=True)
 class EtaGram:
     """The 2x2 eta-Gram: entries are lambda-polynomials {exp: coeff}."""
@@ -184,32 +144,25 @@ class EtaGram:
 
 
 def eta_gram(pencil: Pencil2, c=1) -> EtaGram:
-    """G_ij(lambda) = c * Res_{u=0} phi_i(-u)^T J phi_j(u) / u.
+    """G_ij(lambda) = c * Res_{u=0} phi_i(-u)^T J phi_j(u) / u, in closed form.
 
-    The bilinear products are arranged so only b_sq (never b itself)
-    enters the diagonal.  The off-diagonal entries are b times the residues
-    of (lambda/u)(f1(-u) - f2(u))/u and (lambda/u)(f2(-u) - f1(u))/u, whose
-    terms are at u^-2 and u^-3 only, so G12 = G21 = {} identically.
+    phi_1 = (u^2 - E2 - d lambda/u, -b lambda/u) and
+    phi_2 = (b lambda/u, u^2 - E1 - a lambda/u) are the columns of
+    adj A(u; lambda).  Theorem (multiplied out over symbolic E1, E2, a, d, b
+    and c in tests/test_pencil.py): G = c diag(E2^2, -E1^2) for every
+    coupling.  G is constant in lambda and its off-diagonal entries vanish;
+    zero entries are {}.
     """
-    c = _as_fraction(c)
-    f1, f2 = _adjugate_diagonal(pencil)
-    uinv = LaurentPoly.term(1, u=-1)
-    bsq_l2_u2 = LaurentPoly.term(pencil.b_sq, u=-2, lam=2)
-    f1_flip, f2_flip = (f.subs(u=-LaurentPoly.term(1, u=1)) for f in (f1, f2))  # u -> -u
-
-    # G11 = res[(f1(-u) f1(u) + b^2 l^2/u^2)/u]
-    g11 = residue_at_zero((f1_flip * f1 + bsq_l2_u2) * uinv)
-    # G22 = res[(-b^2 l^2/u^2 - f2(-u) f2(u))/u]
-    g22 = residue_at_zero((-bsq_l2_u2 - f2_flip * f2) * uinv)
-
-    def scale(entry):
-        return {k: c * v for k, v in entry.items() if c * v != 0}
-
-    return EtaGram(entries=((scale(g11), {}), ({}, scale(g22))), c=c)
+    c, E1, E2 = (_as_fraction(v) for v in (c, pencil.E1, pencil.E2))
+    g11, g22 = c * E2 * E2, -c * E1 * E1
+    return EtaGram(entries=(({0: g11} if g11 else {}, {}), ({}, {0: g22} if g22 else {})), c=c)
 
 
 def lambda_evenness_check(gram: EtaGram) -> bool:
-    """True iff every odd-lambda coefficient of every entry is exactly zero."""
+    """True iff every odd-lambda coefficient of every entry is exactly zero.
+
+    Always True for an ``eta_gram``: the theorem there makes G constant in lambda.
+    """
     for row in gram.entries:
         for entry in row:
             if any(exp % 2 == 1 and coeff != 0 for exp, coeff in entry.items()):
@@ -218,7 +171,11 @@ def lambda_evenness_check(gram: EtaGram) -> bool:
 
 
 def pontryagin_index(gram: EtaGram) -> int:
-    """Count of strictly negative diagonal entries of G(0)."""
+    """Count of strictly negative diagonal entries of G(0).
+
+    For an ``eta_gram``, G(0) = c diag(E2^2, -E1^2), so the index is 1
+    whenever c E1 E2 != 0; a zero E1, E2 or c raises DegenerateGramError.
+    """
     diag = gram.at_lambda_zero()
     if any(v == 0 for v in diag):
         raise DegenerateGramError("zero diagonal entry in G(0)")

@@ -14,11 +14,18 @@ from hypothesis import strategies as st
 
 import eulerpencil
 from eulerpencil import matching
-from eulerpencil.exactmath import DegenerateQuadraticError, LaurentPoly, QuadExt
+from eulerpencil.exactmath import (
+    DegenerateQuadraticError,
+    LaurentPoly,
+    Matrix2,
+    QuadExt,
+    group_pseudoinverse2,
+)
 from eulerpencil.matching import (
     CANONICAL_PARAMS,
     HasseViolationError,
     ReductionFailureError,
+    ZCO_ON_SHELL,
     basepoint_for,
     basepoint_solve,
     canonical_basepoint,
@@ -37,7 +44,7 @@ from eulerpencil.matching import (
     zco_euler_factor,
     zco_matrix,
 )
-from eulerpencil.pencil import pencil_from_tdd, spectral_poly
+from eulerpencil.pencil import pencil_from_tdd, spectral_poly, zco_pencil
 from eulerpencil.curves import WeierstrassCurve, hasse_check, primes_upto
 
 PRIMES = primes_upto(60)
@@ -371,14 +378,32 @@ def test_zco_basepoint_oracle():
 
 def test_zco_matrix_rank_one_on_shell():
     u, lam = zco_basepoint()
-    m = zco_matrix(u, lam)
-    assert abs(m.det()) <= 1e-14
-    assert abs(m.trace() - 2 * u * u) <= 1e-14
+    u_sq, k = ZCO_ON_SHELL
+    assert abs(u * u - u_sq) <= 1e-15 and abs(lam / u - k) <= 1e-15
+    m = zco_matrix(u_sq, k)
+    assert m == Matrix2(Fraction(-1, 8), Fraction(3, 8), Fraction(-3, 8), Fraction(9, 8))
+    assert m.det() == 0
+    assert m.trace() == 2 * u_sq
+
+
+def test_zco_matrix_is_the_zco_pencil_and_its_trace_ignores_c():
+    # zco_matrix(u^2, lam/u) is A(u; lam) of zco_pencil(), and the DC term
+    # diag(c, -c)/u^2 never moves the trace: tr A_c = 2u^2 for every (u, k, c)
+    u, lam, k, c = (LaurentPoly.term(1, **{name: 1}) for name in ("u", "lam", "k", "c"))
+    assert u**2 * zco_matrix(u * u, lam / u).det() == spectral_poly(zco_pencil())
+    assert zco_matrix(u * u, k, c).trace() == 2 * u * u
+
+
+def test_zco_operator_is_idempotent_on_shell():
+    A = zco_matrix(*ZCO_ON_SHELL)
+    assert A.det() == 0 and A.trace() == 1
+    assert A @ A == A
+    assert group_pseudoinverse2(A) == A
 
 
 def test_zco_euler_factor_is_one_minus_tau():
-    for t in (0.3, -0.5, 0.2 + 0.1j):
-        assert abs(zco_euler_factor(t) - (1 - t)) <= 1e-12
+    for t in (Fraction(1, 3), Fraction(-1, 2), Fraction(7, 5), 0.3, 0.2 + 0.1j):
+        assert zco_euler_factor(t) == 1 - t
 
 
 @given(

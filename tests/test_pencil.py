@@ -1,5 +1,6 @@
 """Spectral polynomial, resolvent, eta-Gram and j-map tests."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from eulerpencil.pencil import (
     DegenerateGramError,
     OnShellError,
     SingularLocusError,
-    adjugate_columns,
     eta_gram,
     j1728_locus_Q,
     j_formula,
@@ -97,25 +97,18 @@ def test_spectral_poly_equals_u2_det(pen):
 # -- adjugate and resolvent ---------------------------------------------------
 
 
-@given(pencils())
+@given(pencils(), rationals)
 @settings(max_examples=30, deadline=None)
-def test_adjugate_times_pencil_is_P_over_u2(pen):
+def test_adjugate_times_pencil_is_P_over_u2(pen, b):
     # adj(A) A = det(A) I = (P/u^2) I, columnwise over the Laurent ring
-    if pen.b_sq < 0:
-        return
-    try:
-        b = pen.b_exact()
-    except ValueError:
-        return
-    phi1, phi2 = adjugate_columns(pen, b)
-    P = spectral_poly(pen)
-    u2_inv = LaurentPoly.term(1, u=-2)
-    target = P * u2_inv
-    # reconstruct A entries
+    pen = dataclasses.replace(pen, b_sq=b * b)
+    target = spectral_poly(pen) * LaurentPoly.term(1, u=-2)
+    # the entries of A, and the cofactor columns phi1 = (a22, -a21), phi2 = (-a12, a11)
     a11 = LaurentPoly({(2, 0): 1, (0, 0): -pen.E1, (-1, 1): -pen.a})
     a12 = LaurentPoly.term(-b, u=-1, lam=1)
     a21 = LaurentPoly.term(b, u=-1, lam=1)
     a22 = LaurentPoly({(2, 0): 1, (0, 0): -pen.E2, (-1, 1): -pen.d})
+    phi1, phi2 = (a22, -a21), (-a12, a11)
     # column identities: A . phi_k = det A . e_k
     assert a11 * phi1[0] + a12 * phi1[1] == target
     assert a21 * phi1[0] + a22 * phi1[1] == LaurentPoly()
@@ -157,6 +150,13 @@ def _names(*names):
     return [LaurentPoly.term(1, **{name: 1}) for name in names]
 
 
+def _coefficient(f, name, e):
+    """The coefficient of name**e in f, as a LaurentPoly in the other names."""
+    i = f.vars.index(name)
+    return LaurentPoly({key[:i] + (0,) + key[i + 1:]: c
+                        for key, c in f.terms.items() if key[i] == e}, f.vars)
+
+
 def test_spectral_poly_is_u2_det_identically():
     # generic in (E1, E2, a, d, b): P = u^2 det A(u; lam) and
     # u^2 tr adj A = u(2u^3 - tau lam) - (E1 + E2) u^2; with E2 = -E1 these give
@@ -167,6 +167,20 @@ def test_spectral_poly_is_u2_det_identically():
     A = Matrix2(u * u - E1 - k * a, -k * b, k * b, u * u - E2 - k * d)
     assert spectral_poly(pen) == u**2 * A.det()
     assert u**2 * A.adj().trace() == u * (2 * u**3 - pen.tau * lam) - (E1 + E2) * u**2
+
+
+def test_tau_zero_spectral_curve_has_genus_zero_on_two_loci_only():
+    # on tau = 0 with E = 1, a = t, d = -t: P = Delta lam^2 - 2 t lam u + u^6 - u^2, and
+    # its lam-discriminant 4u^2 (t^2 + Delta - Delta u^4) is a square in u (genus 0)
+    # only for Delta = 0 (the ZCO, up to lam -> t lam) or Delta = -t^2 (reducible)
+    t, Delta, u, lam = _names("t", "Delta", "u", "lam")
+    P = spectral_poly(pencil_from_tdd(0, 2 * t, Delta))
+    assert P == Delta * lam**2 - 2 * t * lam * u + u**6 - u**2
+    c2, c1, c0 = (_coefficient(P, "lam", e) for e in (2, 1, 0))
+    assert c1 * c1 - 4 * c2 * c0 == 4 * u**2 * (t * t + Delta - Delta * u**4)
+    assert P.subs(Delta=0) == u * (u**5 - u - 2 * t * lam)
+    assert P.subs(Delta=0) == spectral_poly(zco_pencil()).subs(lam=t * lam)
+    assert P.subs(Delta=-t * t) == -(t * lam - u**3 + u) * (t * lam + u**3 + u)
 
 
 # -- eta-Gram -----------------------------------------------------------------
@@ -196,24 +210,31 @@ def test_eta_gram_diagonal_even_index(pen):
         assert pontryagin_index(g) == 1
 
 
-def test_eta_gram_off_diagonals_vanish_identically():
-    # generic in (E1, E2, a, d, b): with phi1 = (f1, -b lam/u) and phi2 = (b lam/u, f2),
-    # phi1(-u)^T J phi2(u)/u = b (lam/u)(f1(-u) - f2(u))/u and
-    # phi2(-u)^T J phi1(u)/u = b (lam/u)(f2(-u) - f1(u))/u have terms at u^-2 and u^-3
-    # only, so no residue: eta_gram leaves G12 = G21 = {} without computing them
-    E1, E2, a, d, b, u, lam = _names("E1", "E2", "a", "d", "b", "u", "lam")
-    pen = pencil_mod.Pencil2(E1=E1, E2=E2, a=a, d=d, b_sq=b * b)
-    f1, f2 = pencil_mod._adjugate_diagonal(pen)
-    off = b * lam / u
-    phi1, phi2 = (f1, -off), (off, f2)
+def test_eta_gram_closed_form_is_an_identity():
+    # generic in (E1, E2, a, d, b, c): the u^-1 coefficient of c phi_i(-u)^T J phi_j(u)/u,
+    # with the columns phi1 = (f1, -b lam/u), phi2 = (b lam/u, f2) of adj A(u; lam),
+    # is G = c diag(E2^2, -E1^2): no lam, no coupling, no off-diagonal term
+    E1, E2, a, d, b, c, u, lam = _names("E1", "E2", "a", "d", "b", "c", "u", "lam")
+    k = lam / u
+    f1, f2 = u * u - E2 - d * k, u * u - E1 - a * k
+    phi = ((f1, -b * k), (b * k, f2))
 
-    def pair(x, y):  # x(-u)^T J y(u) / u
+    def residue(x, y):  # Res_{u=0} c x(-u)^T J y(u) / u
         x0, x1 = (f.subs(u=-u) for f in x)
-        return (x0 * y[0] - x1 * y[1]) / u
+        return _coefficient(c * (x0 * y[0] - x1 * y[1]) / u, "u", -1)
 
-    for g, (fa, fb) in ((pair(phi1, phi2), (f1, f2)), (pair(phi2, phi1), (f2, f1))):
-        assert g == off * (fa.subs(u=-u) - fb) / u
-        assert {key[g.vars.index("u")] for key in g.terms} == {-2, -3}
+    G = [[residue(x, y) for y in phi] for x in phi]
+    assert G == [[c * E2**2, 0], [0, -c * E1**2]]
+    # eta_gram returns exactly these values
+    rng = random.Random(3)
+    for _ in range(20):
+        e1, e2, cv = (Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
+        pen = pencil_mod.Pencil2(E1=e1, E2=e2, a=Fraction(rng.randint(-9, 9)),
+                                 d=Fraction(rng.randint(-9, 9)), b_sq=Fraction(rng.randint(-9, 9)))
+        for row, gram_row in zip(G, eta_gram(pen, cv).entries):
+            for g, entry in zip(row, gram_row):
+                value = g.subs(E1=e1, E2=e2, c=cv)
+                assert entry == ({0: value} if value != 0 else {})
 
 
 def test_eta_gram_scale_linearity():
