@@ -12,10 +12,11 @@ curve's j:
   13 rational CM j-invariants).  a_p = 0 at an inert prime; at a split prime
   Cornacchia gives a_p up to a unit.  For j = 1728 and j = 0 a quartic or
   sextic residue symbol (one ``pow``) picks the unit; for the other eleven
-  discriminants one or two points do, in O(log^2 p) operations.
-- Shanks-Mestre: larger good primes of every other curve, baby-step
-  giant-step on the short model over the group orders divisible by
-  |E(Q)[2]|, O((p / |E(Q)[2]|)^{1/4}) group operations per prime.
+  discriminants ``_narrow_order`` picks a_p from +-t, in O(log^2 p) operations.
+- Shanks-Mestre: larger good primes of every other curve.  The same loop,
+  ``_narrow_order``, narrows the group orders divisible by |E(Q)[2]| in the
+  Hasse interval with points of E and of its twist, by baby-step giant-step:
+  O((p / |E(Q)[2]|)^{1/4}) group operations per prime.
 
 ``ap_sweep`` runs the same paths over the sieved good primes up to X.  A
 curated catalogue of curve/pencil data ships as package data.
@@ -226,10 +227,10 @@ def ap_count(curve: WeierstrassCurve, p: int, force: bool = False) -> int:
     - CM: good primes above the cutoff on a curve with CM (its j is in
       ``CM_DISCRIMINANTS``) go through ``_ap_cm``: a_p = 0 at an inert
       prime; at a split one Cornacchia, then one residue symbol (``pow``)
-      for j = 1728 and j = 0, or a point check for the other eleven
-      discriminants, O(log^2 p) operations.
+      for j = 1728 and j = 0, or ``_narrow_order`` on the two group orders
+      p + 1 -+ t for the other eleven discriminants, O(log^2 p) operations.
     - Shanks-Mestre: good primes above the cutoff on every other curve go
-      through baby-step giant-step (Cohen, GTM 138, 7.4.2) over the group
+      through ``_narrow_order`` (Cohen, GTM 138, 7.4.2) over the group
       orders divisible by |E(Q)[2]|, O((p / |E(Q)[2]|)^{1/4}) curve
       operations per prime: about 60 at p ~ 3e4 when E(Q)[2] is trivial.
 
@@ -402,17 +403,19 @@ def _progression_hits(Q, R, count: int, a: int, p: int) -> list[int]:
             G = _ec_add(G, R, a, p)
         return []
     giant = 2 * m + 1
-    sR = _ec_add(jR, _ec_add(jR, R, a, p), a, p)
+    # the stride (2m+1) R, only when a second giant step follows
+    sR = _ec_add(jR, _ec_add(jR, R, a, p), a, p) if count + m > giant else None
     hits = []
     G = Q
     for base in range(0, count + m, giant):
+        if base:
+            G = _ec_add(G, sR, a, p)
         if G is None:
             hits.append(base)
         else:
             hit = baby.get(G[0])
             if hit is not None:
                 hits.append(base - hit[0] if G[1] == hit[1] else base + hit[0])
-        G = _ec_add(G, sR, a, p)
     return [t for t in hits if 0 <= t < count]
 
 
@@ -435,23 +438,32 @@ def _twist_points(A: int, B: int, p: int) -> Iterator[tuple[tuple[int, int], int
 def _ap_shanks_mestre(curve: WeierstrassCurve, p: int) -> int:
     """a_p at a good prime p > 229 (p > 3) by Shanks-Mestre.
 
-    Works on the short model y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6,
-    with the points of ``_twist_points``: on E, or on the twist E'
-    (#E' = 2p + 2 - #E).  The candidates for #E stay an arithmetic
-    progression start + t step, 0 <= t < count, narrowed by each point until
-    one is left.  It starts as the multiples of n = |E(Q)[2]| in the Hasse
-    interval, since n divides #E(F_p): about 2 sqrt(p) / n candidates, so
-    baby and giant steps take ~2 (p / n^2)^{1/4} group operations each
-    (~60 in all at p ~ 3e4 for n = 1, ~30 for n = 4), next to the two
-    scalar multiplications per point.  About 85 us per prime at p ~ 3e4 on
-    48a1 (n = 4) on a 2-CPU x86-64 VM (CPython 3.11).  Falls back to the
-    Legendre sweep if x reaches p.
+    The candidates for #E start as the multiples of n = |E(Q)[2]| in the
+    Hasse interval, since n divides #E(F_p): about 2 sqrt(p) / n of them,
+    which ``_narrow_order`` narrows with baby and giant steps of
+    ~2 (p / n^2)^{1/4} group operations each (~60 in all at p ~ 3e4 for
+    n = 1, ~30 for n = 4), next to the two scalar multiplications per
+    point.  About 85 us per prime at p ~ 3e4 on 48a1 (n = 4) on a 2-CPU
+    x86-64 VM (CPython 3.11).
     """
     A, B = _short_model_mod(curve, p)
     r = math.isqrt(4 * p)
     step = curve._two_torsion_order
     start = -(-(p + 1 - r) // step) * step
-    count = (p + 1 + r - start) // step + 1
+    return _narrow_order(curve, p, A, B, start, step, (p + 1 + r - start) // step + 1)
+
+
+def _narrow_order(curve: WeierstrassCurve, p: int, A: int, B: int,
+                  start: int, step: int, count: int) -> int:
+    """a_p of y^2 = x^3 + A x + B at p > 229, given #E = start + t step, 0 <= t < count.
+
+    Each point P of ``_twist_points`` keeps the candidates it allows, found
+    by ``_progression_hits``: [#E] P = O on E, or [2p + 2 - #E] P = O on
+    the twist.  They stay a progression, and Mestre's theorem bounds the
+    points drawn until one is left: two scalar multiplications per point,
+    plus the baby and giant steps.  Falls back to the Legendre sweep if x
+    reaches p.
+    """
     for P, a, on_twist in _twist_points(A, B, p):
         R = _ec_mul(step, P, a, p)
         if on_twist:
@@ -525,12 +537,10 @@ def _ap_cm(curve: WeierstrassCurve, p: int, D: int, split: bool) -> int:
       Cost per split prime: Cornacchia's Tonelli-Shanks and Euclid, about
       O(log^2 p), and no point arithmetic; 10-21 us for p from 10^3 to
       10^6 on a 2-CPU x86-64 VM (CPython 3.11).
-    - The other eleven D: the candidates are {+-t}.  A point P of the short
-      model keeps the candidates c with [p + 1] P = [c] P; points come from
-      ``_twist_points``, and a point of the quadratic twist keeps the
-      negated candidates.  Points are drawn until one candidate is left
-      (Mestre's theorem bounds this for p > 229, as for Shanks-Mestre), at
-      two or three scalar multiplications of O(log p) group operations each.
+    - The other eleven D: a_p = +-t, so #E is one of the two-term
+      progression p + 1 - t, p + 1 + t, which ``_narrow_order`` narrows as
+      it does Shanks-Mestre's: two scalar multiplications of O(log p) group
+      operations per point, and no baby- or giant-step addition.
     """
     A, B = _short_model_mod(curve, p)
     if not split:
@@ -540,23 +550,7 @@ def _ap_cm(curve: WeierstrassCurve, p: int, D: int, split: bool) -> int:
         return _ap_j1728(A, p, *_primary_gaussian(t, s))
     if D == -3:
         return _ap_j0(B, p, *_primary_eisenstein(t, s))
-    left = {t, -t}
-    for P, a, on_twist in _twist_points(A, B, p):
-        sign = -1 if on_twist else 1
-        Q = _ec_mul(p + 1, P, a, p)
-        fits = set()
-        for m in {abs(c) for c in left}:
-            R = _ec_mul(m, P, a, p)
-            if R == Q:
-                fits.add(sign * m)
-            if (None if R is None else (R[0], -R[1] % p)) == Q:
-                fits.add(-sign * m)
-        left &= fits
-        if not left:
-            raise ArithmeticError(f"no CM trace of {curve} at p={p} fits point {P}")
-        if len(left) == 1:
-            return left.pop()
-    return _ap_legendre(curve, p)
+    return _narrow_order(curve, p, A, B, p + 1 - t, 2 * t, 2)
 
 
 # The two CM curves with extra units (Ireland & Rosen, "A Classical

@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .curves import WeierstrassCurve, ap_count, good_primes, hasse_check
 from .exactmath import (
@@ -28,7 +28,7 @@ from .exactmath import (
     group_pseudoinverse2,
     quad_roots,
 )
-from .pencil import Pencil2, _resolvent_at, pencil_from_tdd, spectral_poly
+from .pencil import _resolvent_at, pencil_from_tdd, spectral_poly
 
 CANONICAL_PARAMS = (Fraction(2), Fraction(0), Fraction(2))
 #: (u^2, k = lambda/u) at the ZCO basepoint u = 1/sqrt(2), lambda = (u^5 - u)/2

@@ -10,7 +10,6 @@ Gram.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -238,10 +237,11 @@ def monomial_gram8(eps1: int, eps2: int):
 
     The only nonzero pairings couple the u^{-1} and u^{+1} blocks with
     entries -2 eps_i; the constant and u^2 blocks are isotropic (the
-    radical).  Returns (matrix, rank, reduced_eigenvalues) where the
-    reduced block is the 4x4 Gram 2((0, -E), (-E, 0)), E = diag(eps1, eps2),
-    on (e1/u, e2/u, e1 u, e2 u).  Both are exact: the rank by Gaussian
-    elimination over Q, the eigenvalues from the two decoupled 2x2 blocks.
+    radical).  Returns (matrix, rank, reduced_eigenvalues) in closed form:
+    the four nonzero entries -2 eps_i lie in distinct rows and columns, so
+    the rank is 4; the reduced block on (e1/u, e2/u, e1 u, e2 u) splits into
+    ((0, -2 eps_i), (-2 eps_i, 0)), i = 1, 2, whose eigenvalues are +-2 for
+    either sign, so the spectrum is [-2, -2, 2, 2].
     """
     if eps1 not in (1, -1) or eps2 not in (1, -1):
         raise ValueError("eps1, eps2 must be +-1")
@@ -249,37 +249,4 @@ def monomial_gram8(eps1: int, eps2: int):
     for i, eps in ((0, eps1), (1, eps2)):
         G[i][4 + i] = Fraction(-2 * eps)
         G[4 + i][i] = Fraction(-2 * eps)
-    # the reduced block splits into the 2x2 blocks on (e_i/u, e_i u), i = 1, 2
-    eigs = []
-    for i in (0, 1):
-        (a, b), (c, d) = (G[i][i], G[i][4 + i]), (G[4 + i][i], G[4 + i][4 + i])
-        eigs += _integer_eigenvalues2(a + d, a * d - b * c)
-    return G, _rank(G), sorted(eigs)
-
-
-def _rank(rows) -> int:
-    """Rank of a rational matrix by exact Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col] / top[col]
-            if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
-        rank += 1
-    return rank
-
-
-def _integer_eigenvalues2(tr: Fraction, det: Fraction) -> list[int]:
-    """The two roots of x^2 - tr x + det; ArithmeticError unless both are integers."""
-    disc = tr * tr - 4 * det
-    root = math.isqrt(disc.numerator) if disc >= 0 and disc.denominator == 1 else -1
-    low = (tr - root) / 2
-    if root < 0 or root * root != disc or low.denominator != 1:
-        raise ArithmeticError(f"x^2 - ({tr}) x + ({det}) has no integer roots")
-    return [int(low), int(low) + root]
+    return G, 4, [-2, -2, 2, 2]

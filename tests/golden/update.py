@@ -59,6 +59,22 @@ INVOCATIONS = {
     "eta-gram-c-zero": ["eta-gram", "--pencil", "3,1,1/2", "--E", "2", "--c", "0",
                         "--format", "json"],
     "monomial-gram": ["monomial-gram", "--format", "json"],
+    # the CM branch of ap_count on models given by their coefficients (a model
+    # with j = -3375, D = -7; j = -32768, D = -11; j = 8000, D = -8; j = -884736,
+    # D = -19), and the subcommands that read such a model
+    "ap-model-j-3375": ["ap", "--model", "1,-1,0,-2,-1", "--max-p", "3000",
+                        "--format", "json"],
+    "ap-model-j-32768": ["ap", "--model", "0,-1,1,-7,10", "--max-p", "3000",
+                         "--format", "json"],
+    "ap-model-j8000": ["ap", "--model", "0,1,0,-3,1", "--max-p", "3000", "--format", "json"],
+    "delta-series-model-j-884736": ["delta-series", "--model", "0,0,1,-38,90", "--X", "3000",
+                                    "--format", "csv"],
+    "sato-tate-model-j-3375": ["sato-tate", "--model", "1,-1,0,-2,-1", "--X", "20000",
+                               "--format", "json"],
+    "good-primes-model-j-32768": ["good-primes", "--model", "0,-1,1,-7,10", "--max-p", "200",
+                                  "--format", "json"],
+    "curve-j-model-j-884736": ["curve-j", "--model", "0,0,1,-38,90", "--format", "json"],
+    "monomial-gram-eps": ["monomial-gram", "--eps1", "-1", "--eps2", "1", "--format", "json"],
 }
 
 

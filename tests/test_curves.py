@@ -336,6 +336,22 @@ def test_ap_count_paths_by_curve(monkeypatch):
     monkeypatch.setattr(curves, "_ap_shanks_mestre", refuse)
     ap_count(cm, 1021)
     list(ap_sweep(cm, 1200))
+    # the other eleven D: the narrowing loop gets Cornacchia's two candidates
+    # p + 1 -+ t, not the Hasse interval (a model with j = -3375, D = -7)
+    cm7 = WeierstrassCurve.from_model([1, -1, 0, -2, -1])
+    assert cm_discriminant(cm7) == -7 and cm_splits(-7, 233)
+    expect = curves._ap_legendre(cm7, 233)
+    counts = []
+    hits = curves._progression_hits
+
+    def two_candidates(Q, R, count, a, p):
+        counts.append(count)
+        return hits(Q, R, count, a, p)
+
+    monkeypatch.setattr(curves, "_progression_hits", two_candidates)
+    assert ap_count(cm7, 233) == expect
+    list(ap_sweep(cm7, 1200))
+    assert counts and max(counts) <= 2
     # j = 0 and j = 1728: a residue symbol picks the unit, with no point
     # arithmetic at split (1021 = 1 mod 12) or inert primes
     monkeypatch.setattr(curves, "_ec_mul", refuse)

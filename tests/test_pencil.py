@@ -257,46 +257,25 @@ def test_pontryagin_degenerate_background():
 
 @pytest.mark.parametrize("eps", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
 def test_monomial_gram8_rank_and_spectrum(eps):
-    G, rank, eigs = monomial_gram8(*eps)
-    assert rank == 4
-    assert eigs == [-2, -2, 2, 2]
-    # the u^0 / u^2 blocks are isotropic (they span the radical)
+    # the closed-form rank and spectrum, proven from the matrix itself: its
+    # only nonzero entries are -2 eps_i at (i, 4 + i) and (4 + i, i), and
+    # numpy finds the rank and the reduced block's eigenvalues independently
     import numpy as np
 
+    G, rank, eigs = monomial_gram8(*eps)
+    nonzero = {(r, c): v for r, row in enumerate(G) for c, v in enumerate(row) if v}
+    assert nonzero == {**{(i, 4 + i): -2 * eps[i] for i in (0, 1)},
+                       **{(4 + i, i): -2 * eps[i] for i in (0, 1)}}
     arr = np.array(G, dtype=float)
     assert arr.shape == (8, 8)
-    assert np.allclose(arr, arr.T)
+    assert rank == np.linalg.matrix_rank(arr) == 4
+    reduced = arr[np.ix_([0, 1, 4, 5], [0, 1, 4, 5])]
+    assert eigs == np.round(np.linalg.eigvalsh(reduced)).astype(int).tolist() == [-2, -2, 2, 2]
 
 
 def test_monomial_gram8_bad_eps():
     with pytest.raises(ValueError):
         monomial_gram8(2, 1)
-
-
-def test_exact_rank_matches_numpy():
-    import numpy as np
-
-    rng = random.Random(5)
-    for _ in range(200):
-        n, m, r = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 4)
-        # a product of n x r and r x m factors has rank <= r
-        left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(r)] for _ in range(n)]
-        right = [[Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(r)]
-        M = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)]
-             if r else [Fraction(0)] * m for row in left]
-        assert pencil_mod._rank(M) == np.linalg.matrix_rank(np.array(M, dtype=float))
-
-
-@pytest.mark.parametrize("tr, det, roots", [(5, 6, [2, 3]), (0, -4, [-2, 2]), (4, 4, [2, 2]),
-                                            (1, 1, None), (0, -2, None),
-                                            (Fraction(1, 2), 0, None), (1, Fraction(1, 4), None)])
-def test_integer_eigenvalues2(tr, det, roots):
-    # roots of x^2 - tr x + det, or ArithmeticError when one is not an integer
-    if roots is None:
-        with pytest.raises(ArithmeticError, match="no integer roots"):
-            pencil_mod._integer_eigenvalues2(Fraction(tr), Fraction(det))
-    else:
-        assert pencil_mod._integer_eigenvalues2(Fraction(tr), Fraction(det)) == roots
 
 
 # -- j-map --------------------------------------------------------------------
