@@ -1,8 +1,9 @@
 """Golden CLI transcripts: one JSON file per invocation in this directory.
 
 Each file holds the argv, exit code, stdout and stderr of one
-``eulerpencil.cli.main(argv)`` call run in-process.  ``tests/test_golden.py``
-replays them; rewrite them (only when an output is meant to change) with
+``eulerpencil.cli.main(argv)`` call run in-process with ``COLUMNS=80`` (argparse
+wraps help and usage at the terminal width).  ``tests/test_golden.py`` replays
+them; rewrite them (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/golden/update.py
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -75,16 +77,52 @@ INVOCATIONS = {
                                   "--format", "json"],
     "curve-j-model-j-884736": ["curve-j", "--model", "0,0,1,-38,90", "--format", "json"],
     "monomial-gram-eps": ["monomial-gram", "--eps1", "-1", "--eps2", "1", "--format", "json"],
+    # one call of each subcommand not run above
+    "hasse": ["hasse", "--ap", "3", "--p", "13"],
+    "quartic": ["quartic", "--coeffs", "1,0,2,0,3", "--format", "json"],
+    "legendre-j": ["legendre-j", "--lambda-cr", "1/3", "--format", "json"],
+    "pencil": ["pencil", "--pencil", "3,1,1/2", "--format", "json"],
+    "j1728-q": ["j1728-q", "--tau-sq", "4", "--delta", "0", "--Delta", "2", "--format", "json"],
+    "disc-identity": ["disc-identity", "--ap", "2", "--p", "13", "--format", "json"],
+    "d-off": ["d-off", "--w", "1/3", "--p", "13", "--format", "json"],
+    "cd-ratio": ["cd-ratio", "--ap", "3", "--p", "13", "--format", "json"],
+    "tco": ["tco", "--p", "13", "--format", "json"],
+    "golden": ["golden", "--format", "json"],
+    "obstruction": ["obstruction", "--curve", "256b2", "--format", "json"],
+    "arcsine-z": ["arcsine", "--z", "2", "--format", "json"],
+    "arcsine-t": ["arcsine", "--t", "0.5", "--format", "csv"],
+    "chi4-L": ["chi4-L", "--s", "2", "--format", "json"],
+    "eta-feq": ["eta-feq", "--s", "0.5", "--format", "json"],
+    "bulk": ["bulk", "--curve", "256b2", "--X", "3000", "--eps", "0.3", "--format", "json"],
+    "accumulate": ["accumulate", "--curve", "256b2", "--X-list", "100,1000", "--format", "csv"],
+    "catalogue": ["catalogue", "--format", "json"],
+    # every path into the parser: help, and the usage errors of the top-level
+    # parser and of a subcommand's parser (argparse wraps both at COLUMNS)
+    "help": ["--help"],
+    "hasse-help": ["hasse", "--help"],
+    "no-arguments": [],
+    "unknown-command": ["frobnicate"],
+    "hasse-missing-argument": ["hasse", "--ap", "1"],
+    "hasse-unrecognized-argument": ["hasse", "--ap", "3", "--p", "13", "extra"],
+    "arcsine-no-choice": ["arcsine"],
 }
 
 
 def run(argv) -> dict:
-    """The transcript of ``cli.main(argv)`` in this process."""
+    """The transcript of ``cli.main(argv)`` in this process, at COLUMNS=80."""
     from eulerpencil import cli
 
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(list(argv))
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return {"argv": list(argv), "exit_code": code, "stdout": out.getvalue(),
             "stderr": err.getvalue()}
 
