@@ -3,20 +3,42 @@
 Every command prints a deterministic report (table, json or csv via
 --format) with floats at 12 significant digits.  Exit codes: 0 for
 PASS/INFO, 1 for FAIL, 2 for usage errors.
+
+A cold process pays only for the command it runs: the library modules are
+bound lazily, so a module's body runs on its first attribute access, and
+``main`` builds only the named subcommand's parser (all of them for help, no
+command or an unknown one).
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import importlib.util
 import json
 import math
 import operator
 import sys
 from fractions import Fraction
 
-from . import acceptance, continuum, curves, exactmath, matching, pencil, stats
-from .curves import WeierstrassCurve
+
+def _lazy(name: str):
+    """Submodule ``name`` of this package; its body runs on first attribute access."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# continuum loads at once: --dispersion takes its choices from continuum.DISPERSIONS
+acceptance, continuum, curves, exactmath, matching, pencil, stats = map(
+    _lazy, ("acceptance", "continuum", "curves", "exactmath", "matching", "pencil", "stats"))
 
 SCHEMA = "euler-pencil/1"
 
@@ -123,9 +145,9 @@ def _p(text: str) -> int:
     return p
 
 
-def resolve_curve(args) -> WeierstrassCurve:
+def resolve_curve(args) -> curves.WeierstrassCurve:
     if args.model:
-        return WeierstrassCurve.from_model(_rat_list(args.model))
+        return curves.WeierstrassCurve.from_model(_rat_list(args.model))
     if args.curve:
         entry = curves.catalogue_entry(args.curve, args.catalogue)
         if entry.model is None:
@@ -505,23 +527,33 @@ def cmd_verify_all(args):
 # -- parser and dispatch -----------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(name=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of subcommand ``name`` alone.
+
+    A subparser's prog, help and usage do not depend on its siblings; the
+    top-level usage lists every command either way.
+    """
     parser = argparse.ArgumentParser(
         prog="eulerpencil",
         description="Operator encoding of L-function Euler factors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, options, parser_kwargs) in COMMANDS.items():
-        p = sub.add_parser(name, **parser_kwargs)
+    for command_name in COMMANDS if name is None else (name,):
+        fn, options, parser_kwargs = COMMANDS[command_name]
+        p = sub.add_parser(command_name, **parser_kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
         for option in options:
             option(p)
+    if name is not None:
+        # the top-level usage ("unrecognized arguments") still lists every command
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

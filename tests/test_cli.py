@@ -403,6 +403,43 @@ def test_verify_all_loads_no_scipy():
         assert proc.stderr.strip() == "[] 0", argv
 
 
+_MODULES_RUN = """
+import json, sys
+from pathlib import Path
+ran = set()
+
+def hook(event, args):
+    # "exec" fires for every module body the import system runs, lazy or not
+    if event == "exec" and Path(getattr(args[0], "co_filename", "")).parent.name == "eulerpencil":
+        ran.add(Path(args[0].co_filename).stem)
+
+sys.addaudithook(hook)
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import eulerpencil
+else:
+    from eulerpencil import cli
+    cli.main(argv)
+print(json.dumps(sorted(ran)), file=sys.stderr)
+"""
+
+LIBRARY = {"acceptance", "continuum", "curves", "exactmath", "matching", "pencil", "stats"}
+
+
+def _modules_run(argv):
+    proc = _cold("-c", _MODULES_RUN, json.dumps(argv))
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def test_cold_command_runs_only_the_modules_it_calls():
+    assert _modules_run(None) == {"__init__"}
+    assert not _modules_run(["hasse", "--ap", "3", "--p", "13"]) & {
+        "acceptance", "stats", "matching", "pencil"}
+    assert not _modules_run(["zco"]) & {"acceptance", "stats"}
+    assert _modules_run(["verify-all"]) == LIBRARY | {"__init__", "cli"}
+
+
 def test_quadrature_failure_is_one_error_line():
     # an unconverged quadrature is one error line on stderr, with no warning
     proc = _cold("-m", "eulerpencil.cli", "universality", "--z", "2", "--tol", "1e-300")
@@ -413,11 +450,15 @@ def test_quadrature_failure_is_one_error_line():
 # -- fuzz: the exit-code contract over every subcommand -----------------------
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 PARSER = cli.build_parser()
 SUBCOMMANDS = {
     name: [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
-    for action in PARSER._actions if isinstance(action, argparse._SubParsersAction)
-    for name, p in action.choices.items()
+    for name, p in _subparsers(PARSER).items()
 }
 
 # Options whose value sets the amount of work (primes, sweep length, scan
@@ -475,9 +516,8 @@ def test_cli_surface_is_pinned(capsys, monkeypatch):
     assert list(cli.COMMANDS) == list(SUBCOMMANDS)
     # every subcommand run with a stub body: tolerance comes with --tol alone
     parser = cli.build_parser()
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction)).choices
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    subparsers = _subparsers(parser)
+    monkeypatch.setattr(cli, "build_parser", lambda *_: parser)
     for name, sub in subparsers.items():
         sub.set_defaults(fn=lambda args: {})
         argv = [name, "--format", "json"]
@@ -496,7 +536,20 @@ def test_cli_surface_is_pinned(capsys, monkeypatch):
 def fuzz_env(monkeypatch):
     monkeypatch.delenv(ENV_CATALOGUE, raising=False)
     # one parser for every call: building it takes most of a failing call
-    monkeypatch.setattr(cli, "build_parser", lambda: PARSER)
+    monkeypatch.setattr(cli, "build_parser", lambda *_: PARSER)
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_command_parser_equals_the_full_parser(name, monkeypatch):
+    # main builds the named subcommand's parser alone; what it prints must not
+    # depend on that, also where the top-level usage is printed
+    monkeypatch.setenv("COLUMNS", "80")
+    full, one = cli.build_parser(), cli.build_parser(name)
+    assert list(_subparsers(one)) == [name]
+    expect, got = _subparsers(full)[name], _subparsers(one)[name]
+    assert got.format_help() == expect.format_help()
+    assert got.format_usage() == expect.format_usage()
+    assert one.format_usage() == full.format_usage()
 
 
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
