@@ -51,9 +51,17 @@ INVOCATIONS = {
     # domain errors raised by the library (exit 2)
     "cornacchia-not-prime": ["cornacchia", "--p", "21"],
     "basepoint-hasse-violation": ["basepoint", "--ap", "100", "--p", "5"],
+    "d-off-pole": ["d-off", "--w", "-1", "--p", "5"],
     # the canonical pencil at large p: the float residual_det exceeds the default 1e-9 (FAIL)
     "match-canonical-p10007": ["match", "--ap", "7", "--p", "10007", "--format", "json"],
     "match-canonical-p99991": ["match", "--ap", "50", "--p", "99991", "--format", "json"],
+    # the float matcher off the canonical pencil: A = tau^2 - 4 Delta = 0, a complex
+    # basepoint, and the canonical pencil given explicitly
+    "match-A-zero": ["match", "--pencil", "3,1,9/4", "--ap", "3", "--p", "11", "--format", "json"],
+    "match-complex-basepoint": ["match", "--pencil", "3,1,1/2", "--ap", "0", "--p", "3",
+                                "--branch", "minus", "--format", "json"],
+    "basepoint-canonical-given": ["basepoint", "--pencil", "2,0,2", "--ap", "-4", "--p", "5",
+                                  "--format", "json"],
     # the g = 0 operator off shell, the eta-Gram at c = 0, and the monomial Gram
     "zco-c": ["zco-c", "--c", "3/2", "--u", "0.3+0.4i", "--format", "json"],
     "zco-c-u-zero": ["zco-c", "--c", "1", "--u", "0"],
