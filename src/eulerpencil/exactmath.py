@@ -299,18 +299,12 @@ class QuadExt:
             return 1 if X > 0 else -1
         return 1 if Y > 0 else -1
 
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         # X / Z is the correctly rounded float of the Fraction x, as float(x) is
         x, y = self._X / self._Z, self._Y / self._Z
         if self._k >= 0:
             return complex(x + y * math.sqrt(self._k))
         return complex(x, y * math.sqrt(-self._k))
-
-    def __float__(self) -> float:
-        z = self.to_complex()
-        if z.imag != 0.0:
-            raise ValueError("complex QuadExt has no float value")
-        return z.real
 
     def __repr__(self):
         if not self._Y:
@@ -525,27 +519,6 @@ class LaurentPoly:
                 k = tuple(k)
                 out[k] = out.get(k, 0) + c2
         return LaurentPoly._of(out, vars)
-
-    def evaluate(self, *point):
-        """Evaluate at one scalar per variable, in the order of ``vars``.
-
-        Scalars may be complex, Fraction or QuadExt.  A complex one makes every
-        monomial complex, and each term complex(monomial) * float(coefficient);
-        the terms are summed in sorted exponent order.
-        """
-        if len(point) != len(self.vars):
-            raise TypeError(f"need one value for each of {self.vars}")
-        total = None
-        for key, c in sorted(self.terms.items()):
-            powers = map(_scalar_pow, point, key)
-            piece = next(powers)
-            for x in powers:
-                piece = piece * x
-            piece = complex(piece) * float(c) if isinstance(piece, complex) else piece * c
-            total = piece if total is None else total + piece
-        if total is None:
-            return 0j if any(isinstance(x, complex) for x in point) else 0
-        return total
 
     def __repr__(self):
         return f"LaurentPoly({self.terms}, {self.vars})"

@@ -28,7 +28,7 @@ from .exactmath import (
     group_pseudoinverse2,
     quad_roots,
 )
-from .pencil import _resolvent_at, pencil_from_tdd, spectral_poly
+from .pencil import pencil_from_tdd, resolvent_floats, spectral_poly
 
 CANONICAL_PARAMS = (Fraction(2), Fraction(0), Fraction(2))
 #: (u^2, k = lambda/u) at the ZCO basepoint u = 1/sqrt(2), lambda = (u^5 - u)/2
@@ -145,7 +145,7 @@ def canonical_basepoint(a_p: int, p: int, branch: str = "plus") -> Basepoint:
     if disc <= 0:
         raise HasseViolationError(f"Delta_p = {disc} <= 0 for (a_p={a_p}, p={p})")
     w = QuadExt(Fraction(a_p, 2 * p), Fraction(sign, 2 * p), Fraction(disc))
-    u = cmath.sqrt(w.to_complex())
+    u = cmath.sqrt(w)
     lam = u**3 - a_p * u / (2 * p)
     sheet = "real" if w.sign() > 0 else "imaginary"  # w is real: Delta_p > 0
     return Basepoint(w=w, u=u, lam=lam, branch=branch, sheet=sheet)
@@ -190,10 +190,8 @@ def euler_match_verify(
     """Verify tr R = a_p and det R = p at the solved basepoint.
 
     ``params`` is a (tau, delta, Delta) triple or the string "canonical".
-    Returns a PASS/FAIL report (no exception on residual failure).  The
-    exact pencil and its spectral polynomial are built once per triple (see
-    ``_pencil_and_poly``); the basepoint, P(u, lambda), the resolvent and the
-    residuals are computed on every call.
+    Returns a PASS/FAIL report (no exception on residual failure).  P(u, lambda)
+    and the resolvent come from ``resolvent_floats`` with E = 1, in complex floats.
     """
     if isinstance(params, str):
         if params != "canonical":
@@ -201,11 +199,9 @@ def euler_match_verify(
         params = CANONICAL_PARAMS
     tau, delta, Delta = (_as_fraction(v) for v in params)
     bp = basepoint_for((tau, delta, Delta), a_p, p, branch)
-    pencil, poly = _pencil_and_poly(tau, delta, Delta)
-    u, lam = bp.u, bp.lam
-    P = poly.evaluate(u, lam)
-    tr, det = _resolvent_at(pencil, u, lam, P, tol=1e-300)
-    w = complex(bp.w) if not isinstance(bp.w, QuadExt) else bp.w.to_complex()
+    P, tr, det = resolvent_floats(1, float(tau), float(delta), float(Delta), bp.u, bp.lam,
+                                  tol=1e-300)
+    w = complex(bp.w)
     residual_tr = abs(tr - a_p)
     residual_det = abs(det - p)
     P_residual = abs(P - w / p)
@@ -225,18 +221,6 @@ def euler_match_verify(
         tolerance=tolerance,
         passed=passed,
     )
-
-
-@functools.lru_cache(maxsize=32)
-def _pencil_and_poly(tau: Fraction, delta: Fraction, Delta: Fraction):
-    """The pencil (tau, delta, Delta) with E = 1 and its ``spectral_poly``.
-
-    Keyed by the exact triple, so "canonical", (2, 0, 2) and equal Fractions
-    share one entry; at most 32 triples are kept, the least recently used
-    going first.
-    """
-    pencil = pencil_from_tdd(tau, delta, Delta, 1)
-    return pencil, spectral_poly(pencil)
 
 
 def symbolic_reduction_check(tau, delta, Delta, a_p: int, p: int) -> bool:
@@ -283,14 +267,11 @@ def discriminant_identity(a_p: int, p: int):
 
 
 def offshell_distance(w, p: int):
-    """d_off = w / (p (w + 1)); exact for exact w."""
+    """d_off = w / (p (w + 1)) for a Fraction, QuadExt or complex w; an int w is a Fraction."""
     if w == -1:
         raise ZeroDivisionError("off-shell distance pole at w = -1")
-    if isinstance(w, (int, Fraction)):
-        return Fraction(w) / (p * (Fraction(w) + 1))
-    if isinstance(w, QuadExt):
-        return w / ((w + 1) * p)
-    w = complex(w)
+    if isinstance(w, int):
+        w = Fraction(w)
     return w / (p * (w + 1))
 
 

@@ -2,10 +2,10 @@
 
 A(u; lambda) = u^2 I - diag(E1, E2) - (lambda/u) V with V = ((a, b), (-b, d))
 and fundamental symmetry J = diag(1, -1).  This module computes the spectral
-polynomial, resolvent trace/determinant closed forms, the eta-Gram residue
-pairing in closed form with its lambda-evenness and Pontryagin index, the
-j-invariant moduli map with its special loci, and the 8-dimensional monomial
-Gram.
+polynomial and its closed-form value, the resolvent trace/determinant in
+complex floats, the eta-Gram residue pairing in closed form with its
+lambda-evenness and Pontryagin index, the j-invariant moduli map with its
+special loci, and the 8-dimensional monomial Gram.
 """
 
 from __future__ import annotations
@@ -99,32 +99,40 @@ def spectral_poly(pencil: Pencil2) -> LaurentPoly:
     )
 
 
-def resolvent_tr_det(pencil: Pencil2, u, lam, tol: float = 1e-12):
-    """Closed-form (trace, det) of the resolvent R = A(u; lambda)^{-1}.
+def spectral_value(E, tau, delta, Delta, u, lam):
+    """P(u, lambda) on the background diag(E, -E), over any ring that holds its arguments.
 
-    tr R = u (2u^3 - tau*lambda) / P(u, lambda); det R = u^2 / P (which is
-    independent of delta).  The closed forms require the canonical
-    background E2 = -E1.  Exact inputs (Fraction/QuadExt) stay exact.
+    P = Delta lambda^2 - E delta u lambda - E^2 u^2 - tau u^3 lambda + u^6, the
+    ``spectral_poly`` of ``pencil_from_tdd(tau, delta, Delta, E)`` (the identity is
+    proven over symbolic E, tau, delta, Delta, u and lambda in tests/test_pencil.py).
+    Each coefficient is the last factor of its product.
     """
-    return _resolvent_at(pencil, u, lam, spectral_poly(pencil).evaluate(u, lam), tol)
+    return lam**2 * Delta - u * lam * (E * delta) - u**2 * (E * E) - u**3 * lam * tau + u**6
 
 
-def _resolvent_at(pencil: Pencil2, u, lam, P, tol: float):
-    """``resolvent_tr_det`` given P = P(u, lambda) already evaluated."""
-    if not pencil.is_canonical_background:
-        raise ValueError("closed forms require the canonical background E2 = -E1")
-    exact = not (isinstance(u, (complex, float)) or isinstance(lam, (complex, float)))
-    if exact:
-        if P == 0:
-            raise OnShellError("P(u, lambda) = 0: on the spectral curve")
-        tr = u * (2 * u**3 - pencil.tau * lam) / P
-        det = u * u / P
-        return tr, det
-    u, lam, P = complex(u), complex(lam), complex(P)
+def resolvent_floats(E, tau, delta, Delta, u: complex, lam: complex, tol: float):
+    """(P, tr R, det R) in complex floats on the background diag(E, -E).
+
+    tr R = u (2u^3 - tau lambda) / P and det R = u^2 / P (independent of
+    delta), with P = ``spectral_value``; OnShellError when |P| < tol.
+    """
+    P = spectral_value(E, tau, delta, Delta, u, lam)
     if abs(P) < tol:
         raise OnShellError(f"|P(u, lambda)| = {abs(P):.3e} < tol: on the spectral curve")
-    tau = complex(pencil.tau)
-    return u * (2 * u**3 - tau * lam) / P, u * u / P
+    return P, u * (2 * u**3 - tau * lam) / P, u * u / P
+
+
+def resolvent_tr_det(pencil: Pencil2, u, lam, tol: float = 1e-12):
+    """Closed-form (trace, det) of the resolvent R = A(u; lambda)^{-1}, in complex floats.
+
+    The closed forms of ``resolvent_floats`` require the canonical background
+    E2 = -E1.
+    """
+    if not pencil.is_canonical_background:
+        raise ValueError("closed forms require the canonical background E2 = -E1")
+    E, tau, delta, Delta = (float(v) for v in (pencil.E1, pencil.tau, pencil.delta, pencil.Delta))
+    _, tr, det = resolvent_floats(E, tau, delta, Delta, complex(u), complex(lam), tol)
+    return tr, det
 
 
 @dataclass(frozen=True)

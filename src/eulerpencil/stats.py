@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 from .continuum import arcsine_cdf
 # ap_count is not called here; its binding in this module stays for
 # bench/tracing.py, whose self-test traces it as stats.ap_count
-from .curves import WeierstrassCurve, ap_count, ap_sweep  # noqa: F401
+from .curves import WeierstrassCurve, ap_count, ap_sweep, primes_upto  # noqa: F401
 
 EPSILON_BOUND_C = 1.5  # |delta_p - a_p/(2 sqrt p)| <= C / sqrt(p)
 
@@ -135,8 +135,6 @@ def bulk_count(series: PrimeSeries, eps: float) -> tuple[int, float]:
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    from .curves import primes_upto
-
     n_delta = sum(1 for r in series.rows if abs(r.delta) < eps)
     pi_x = len(primes_upto(series.X))
     return n_delta, n_delta / pi_x

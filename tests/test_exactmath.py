@@ -71,7 +71,7 @@ def test_quadext_inverse_roundtrip(z):
 def test_quadext_conj_norm_float_consistency(z):
     assert z * z.conj() == QuadExt(z.norm())
     assert math.isclose(
-        complex(z.to_complex()).real * 1.0,
+        complex(z).real,
         float(z.x) + float(z.y) * math.sqrt(z.d),
         abs_tol=1e-9,
     )
@@ -430,8 +430,9 @@ def test_subs_composes_when_the_value_holds_the_variable():
 @settings(max_examples=60, deadline=None)
 def test_subs_of_every_variable_is_evaluate(f, u, lam):
     assume(u != 0)
-    assert f.subs(u=u, lam=lam) == f.evaluate(u, lam)
-    assert f.subs(u=u).subs(lam=lam) == f.evaluate(u, lam)
+    value = sum((c * u**i * lam**j for (i, j), c in f.terms.items()), Fraction(0))
+    assert f.subs(u=u, lam=lam) == value
+    assert f.subs(u=u).subs(lam=lam) == value
 
 
 def _laurent_add(*fs):
@@ -510,18 +511,6 @@ def test_flip_u_is_involution(f):
     flipped = f.subs(u=-U)
     assert flipped == LaurentPoly({(ju, jl): -c if ju % 2 else c for (ju, jl), c in f.terms.items()})
     assert flipped.subs(u=-U) == f
-
-
-@given(laurents(), st.complex_numbers(max_magnitude=2, allow_nan=False))
-@settings(max_examples=40, deadline=None)
-def test_evaluate_matches_termwise(f, u):
-    if abs(u) < 0.2:
-        u += 0.5
-    lam = 0.7 - 0.3j
-    direct = sum(
-        complex(c) * u**i * lam**j for (i, j), c in f.terms.items()
-    )
-    assert abs(f.evaluate(u, lam) - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
 # -- Matrix2 ------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_canonical_sheet_is_exact_on_every_hasse_pair_to_3000():
             assert (plus.sheet, minus.sheet) == ("real", "imaginary")
             assert (plus.w * minus.w).sign() == -1
             for bp in (plus, minus):
-                assert matching._classify_sheet(bp.w.to_complex()) == bp.sheet
+                assert matching._classify_sheet(complex(bp.w)) == bp.sheet
 
 
 def test_canonical_basepoint_hasse_guard():
@@ -149,7 +149,7 @@ def test_basepoint_for_is_exact_on_the_canonical_pencil_only():
         3, 1, Fraction(1, 2), -2, 7, "minus")
     # basepoint_solve keeps its convention: with A = -4 < 0, its "plus" root is w-
     w = basepoint_solve(2, 0, 2, -4, 5).w
-    assert abs(w - canonical_basepoint(-4, 5, "minus").w.to_complex()) <= 1e-12
+    assert abs(w - complex(canonical_basepoint(-4, 5, "minus").w)) <= 1e-12
 
 
 # -- verification reports -----------------------------------------------------
@@ -267,46 +267,6 @@ def test_symbolic_reduction_rejects_a_wrong_master_reduction(monkeypatch, name, 
         matching._master_reduction.cache_clear()
 
 
-# -- the pencil cache ---------------------------------------------------------
-
-
-def test_pencil_cache_cold_and_warm_give_equal_reports():
-    calls = [(params, a_p, p, branch) for params, a_p, p in [
-        ("canonical", -4, 5), ((3, 1, Fraction(1, 2)), -2, 7), ((3, 1, Fraction(9, 4)), 3, 11),
-        ((Fraction(-31, 20), Fraction(-29, 4), Fraction(-491, 50)), 5, 10007),
-        ("canonical", 50, 99991)] for branch in ("plus", "minus")]
-    cold = []
-    for call in calls:
-        matching._pencil_and_poly.cache_clear()
-        cold.append(euler_match_verify(*call))
-    for call in calls:
-        euler_match_verify(*call)
-    hits = matching._pencil_and_poly.cache_info().hits
-    warm = [euler_match_verify(*call) for call in calls]
-    assert matching._pencil_and_poly.cache_info().hits == hits + len(calls)
-    assert cold == warm
-
-
-def test_pencil_cache_keys_on_the_exact_triple():
-    matching._pencil_and_poly.cache_clear()
-    for params in ("canonical", (2, 0, 2), CANONICAL_PARAMS,
-                   (Fraction(4, 2), Fraction(0, 5), Fraction(6, 3))):
-        euler_match_verify(params, -4, 5)
-    info = matching._pencil_and_poly.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
-    pen, poly = matching._pencil_and_poly(*CANONICAL_PARAMS)
-    assert pen == pencil_from_tdd(2, 0, 2) and poly == spectral_poly(pen)
-
-
-def test_pencil_cache_is_bounded():
-    matching._pencil_and_poly.cache_clear()
-    bound = matching._pencil_and_poly.cache_info().maxsize
-    assert bound is not None
-    for tau in range(1, 2 * bound + 2):
-        euler_match_verify((tau, 1, 1), 0, 5)
-    assert matching._pencil_and_poly.cache_info().currsize == bound
-
-
 def _fresh(code: str) -> str:
     src = str(Path(eulerpencil.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -322,19 +282,13 @@ def test_reduction_is_derived_once_per_process_and_not_at_import():
     assert out == ["0", "1"]
 
 
-def test_pencils_are_cached_on_first_use_not_at_import():
-    size = "matching._pencil_and_poly.cache_info().currsize"
-    out = _fresh(f"from eulerpencil import cli, matching; print({size}); "
-                 f"cli.main(['match', '--curve', '48a1', '--max-p', '60', '--pencil', '3,1,1/2']); "
-                 f"print({size}, matching._pencil_and_poly.cache_info().hits)")
-    assert out[0] == "0" and out[-2:] == ["1", "14"]
-
-
 # -- off-shell distance and CD ratio ------------------------------------------
 
 
 def test_offshell_distance_exact_and_float():
     assert offshell_distance(Fraction(1, 2), 5) == Fraction(1, 15)
+    assert offshell_distance(2, 5) == Fraction(2, 15)
+    assert isinstance(offshell_distance(2, 5), Fraction)
     w = QuadExt(Fraction(1, 2), Fraction(1, 10), 104)
     d = offshell_distance(w, 5)
     assert d * (w + 1) * 5 == w
@@ -342,8 +296,9 @@ def test_offshell_distance_exact_and_float():
 
 
 def test_offshell_distance_pole():
-    with pytest.raises(ZeroDivisionError):
-        offshell_distance(-1, 5)
+    for w in (-1, Fraction(-1), QuadExt(-1), -1 + 0j):
+        with pytest.raises(ZeroDivisionError, match="pole at w = -1"):
+            offshell_distance(w, 5)
 
 
 def test_cd_matching_ratio_negative_discriminant_sweep():

@@ -90,7 +90,7 @@ def test_spectral_poly_equals_u2_det(pen):
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         b = complex(pen.b_sq) ** 0.5
         det = pencil_matrix(pen, u, lam, b=b).det()
-        direct = P.evaluate(u, lam)
+        direct = sum(complex(c) * u**i * lam**j for (i, j), c in P.terms.items())
         assert abs(direct - u * u * det) <= 1e-8 * max(1.0, abs(direct))
 
 
@@ -167,6 +167,13 @@ def test_spectral_poly_is_u2_det_identically():
     A = Matrix2(u * u - E1 - k * a, -k * b, k * b, u * u - E2 - k * d)
     assert spectral_poly(pen) == u**2 * A.det()
     assert u**2 * A.adj().trace() == u * (2 * u**3 - pen.tau * lam) - (E1 + E2) * u**2
+
+
+def test_spectral_value_is_spectral_poly_identically():
+    # the closed form the float matcher evaluates, over symbolic (E, tau, delta, Delta, u, lam)
+    E, tau, delta, Delta, u, lam = _names("E", "tau", "delta", "Delta", "u", "lam")
+    assert (pencil_mod.spectral_value(E, tau, delta, Delta, u, lam)
+            == spectral_poly(pencil_from_tdd(tau, delta, Delta, E)))
 
 
 def test_tau_zero_spectral_curve_has_genus_zero_on_two_loci_only():
