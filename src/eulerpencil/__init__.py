@@ -20,7 +20,7 @@ _EXPORTS = {
                "legendre_j", "load_catalogue", "quartic_to_weierstrass"),
     "pencil": ("EtaGram", "Pencil2", "eta_gram", "j1728_locus_Q", "j_formula",
                "j_formula_tausq", "lambda_evenness_check", "monomial_gram8", "pencil_from_tdd",
-               "pontryagin_index", "resolvent_tr_det", "spectral_poly", "zco_pencil"),
+               "pontryagin_index", "spectral_poly", "zco_pencil"),
     "matching": ("Basepoint", "MatchReport", "basepoint_for", "basepoint_solve",
                  "canonical_basepoint", "cd_matching_ratio", "discriminant_identity",
                  "euler_match_verify", "golden_ratio_spectrum", "interpolation_obstruction",

@@ -296,7 +296,8 @@ def cmd_pencil(args):
 @command("spectral-poly", PENCIL, E)
 def cmd_spectral_poly(args):
     poly = pencil.spectral_poly(resolve_pencil(args))
-    return {"terms": {f"u^{ju} lam^{jl}": c for (ju, jl), c in sorted(poly.terms.items())}}
+    exps = {(dict(m).get("u", 0), dict(m).get("lam", 0)): c for m, c in poly.terms.items()}
+    return {"terms": {f"u^{ju} lam^{jl}": c for (ju, jl), c in sorted(exps.items())}}
 
 
 @command("evenness", PENCIL, E)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -367,76 +366,49 @@ def cubic_rational_roots(c3: Scalar, c2: Scalar, c1: Scalar, c0: Scalar) -> list
     return sorted(roots)
 
 
-#: The default variables of a LaurentPoly, those of the spectral polynomial.
-UL = ("u", "lam")
+def _monomial_mul(m1: tuple, m2: tuple) -> tuple:
+    """The product of two monomials: exponents added by name, zeros dropped."""
+    if not m1 or not m2:
+        return m1 or m2
+    exps = dict(m1)
+    for name, e in m2:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted((name, e) for name, e in exps.items() if e))
 
 
 class LaurentPoly:
     """Sparse Laurent polynomial over the rationals in named variables.
 
-    ``terms`` maps exponent tuples, one integer per name in ``vars``, to
-    nonzero Fractions.  Exponents may be negative, so single terms are units
-    and ``/`` divides by them only.  A constructor coefficient may itself be
-    a LaurentPoly; it is multiplied out.  Operands over different names
-    combine over the union of the names (the left one's first), so a name
-    with exponent 0 throughout changes nothing.  Treated as immutable.
+    ``terms`` maps monomials to nonzero Fractions.  A monomial is a tuple of
+    (name, exponent) pairs sorted by name, with no zero exponent; the
+    constant monomial is ().  Exponents may be negative, so single terms are
+    units and ``/`` divides by them only.  Treated as immutable.
     """
 
-    __slots__ = ("terms", "vars")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict | None = None, vars: tuple[str, ...] = UL):
-        clean, inner = {}, []
-        for key, c in (terms or {}).items():
-            if len(key) != len(vars):
-                raise ValueError(f"exponents {key} do not match variables {vars}")
-            if isinstance(c, LaurentPoly):
-                inner.append((key, c))
-            elif c := _as_fraction(c):
-                clean[key] = c
-        self.terms, self.vars = clean, vars
-        for key, c in inner:
-            total = self + c * LaurentPoly({key: 1}, vars)
-            self.terms, self.vars = total.terms, total.vars
-
-    @classmethod
-    def _of(cls, terms: dict, vars: tuple[str, ...]) -> "LaurentPoly":
-        """A result built in one pass: Fraction coefficients, trusted; zeros dropped."""
-        self = object.__new__(cls)
-        self.terms = {key: c for key, c in terms.items() if c}
-        self.vars = vars
-        return self
+    def __init__(self, terms: dict | None = None):
+        self.terms = {m: q for m, c in (terms or {}).items() if (q := _as_fraction(c))}
 
     @classmethod
     def term(cls, coeff, **exponents: int) -> "LaurentPoly":
-        """coeff * prod name**exponent, over (u, lam) and the names given."""
-        vars = UL + tuple(v for v in exponents if v not in UL)
-        return cls({tuple(exponents.get(v, 0) for v in vars): coeff}, vars)
+        """coeff * prod name**exponent."""
+        return cls({tuple(sorted((v, e) for v, e in exponents.items() if e)): coeff})
 
     def _coerce(self, other) -> "LaurentPoly":
         """A LaurentPoly as is, a rational as a constant; TypeError for anything else."""
-        return other if isinstance(other, LaurentPoly) else self.term(other)
-
-    def _align(self, other):
-        """(names, self's terms, other's terms) over the union of both names."""
-        other = self._coerce(other)
-        if other.vars == self.vars:
-            return self.vars, self.terms, other.terms
-        vars = self.vars + tuple(v for v in other.vars if v not in self.vars)
-        zero = dict.fromkeys(vars, 0)
-        return vars, *({tuple({**zero, **dict(zip(f.vars, key))}.values()): c
-                        for key, c in f.terms.items()} for f in (self, other))
+        return other if isinstance(other, LaurentPoly) else LaurentPoly({(): other})
 
     def __add__(self, other):
-        vars, mine, theirs = self._align(other)
-        out = dict(mine)
-        for key, c in theirs.items():
-            out[key] = out.get(key, 0) + c
-        return LaurentPoly._of(out, vars)
+        out = dict(self.terms)
+        for m, c in self._coerce(other).terms.items():
+            out[m] = out.get(m, 0) + c
+        return LaurentPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._of({k: -c for k, c in self.terms.items()}, self.vars)
+        return LaurentPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -445,13 +417,13 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        vars, mine, theirs = self._align(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for k1, c1 in mine.items():
-            for k2, c2 in theirs.items():
-                key = tuple(map(operator.add, k1, k2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly._of(out, vars)
+        theirs = self._coerce(other).terms.items()
+        out: dict[tuple, Fraction] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in theirs:
+                m = _monomial_mul(m1, m2)
+                out[m] = out.get(m, 0) + c1 * c2
+        return LaurentPoly(out)
 
     __rmul__ = __mul__
 
@@ -460,8 +432,8 @@ class LaurentPoly:
         other = self._coerce(other)
         if len(other.terms) != 1:  # the units are the single terms
             raise (ValueError if other.terms else ZeroDivisionError)(f"{other} is not a unit")
-        ((key, c),) = other.terms.items()
-        return self * LaurentPoly._of({tuple(-e for e in key): 1 / c}, other.vars)
+        ((m, c),) = other.terms.items()
+        return self * LaurentPoly({tuple((v, -e) for v, e in m): 1 / c})
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -484,50 +456,28 @@ class LaurentPoly:
     def __eq__(self, other):
         if not isinstance(other, (LaurentPoly, int, Fraction)):
             return NotImplemented
-        _, mine, theirs = self._align(other)
-        return mine == theirs
+        return self.terms == self._coerce(other).terms
 
     def subs(self, **values) -> "LaurentPoly":
         """Substitute named variables by scalars or LaurentPolys, all at once.
 
+        Each term becomes its coefficient, times its monomial in the names not
+        substituted, times each substituted value raised to its exponent.
         Names the polynomial lacks are ignored; ``subs(u=-LaurentPoly.term(1, u=1))``
-        is u -> -u.  The result is accumulated in one dict: O(terms) updates
-        for scalar values, plus the terms of each power of a LaurentPoly value.
-        A value's new names follow ``vars``, in the order they are met.
+        is u -> -u.  A negative exponent divides by the value, which must then
+        be a unit; a float or complex value raises TypeError.
         """
-        at = [(self.vars.index(v), x) for v, x in values.items() if v in self.vars]
-        vars, out = self.vars, {}
-        for key, c in self.terms.items():
-            rest = list(key)
-            for i, x in at:
-                if key[i]:
-                    c = c * _scalar_pow(x, key[i])
-                    rest[i] = 0
-            if isinstance(c, LaurentPoly):
-                new = tuple(v for v in c.vars if v not in vars)
-                if new:
-                    vars += new
-                    out = {k + (0,) * len(new): v for k, v in out.items()}
-                where, items = [vars.index(v) for v in c.vars], c.terms.items()
-            else:  # TypeError for a float or complex value
-                where, items = [], [((), _as_fraction(c))]
-            rest += [0] * (len(vars) - len(rest))
-            for k2, c2 in items:
-                k = rest.copy()
-                for i, e in zip(where, k2):
-                    k[i] += e
-                k = tuple(k)
-                out[k] = out.get(k, 0) + c2
-        return LaurentPoly._of(out, vars)
+        out = LaurentPoly()
+        for m, c in self.terms.items():
+            piece = LaurentPoly({tuple((v, e) for v, e in m if v not in values): c})
+            for v, e in m:
+                if v in values:
+                    piece = piece * self._coerce(values[v]) ** e
+            out = out + piece
+        return out
 
     def __repr__(self):
-        return f"LaurentPoly({self.terms}, {self.vars})"
-
-
-def _scalar_pow(base, n: int):
-    if n >= 0:
-        return base**n
-    return 1 / (base ** (-n))
+        return f"LaurentPoly({self.terms})"
 
 
 @dataclass(frozen=True)

@@ -87,16 +87,11 @@ def spectral_poly(pencil: Pencil2) -> LaurentPoly:
     P = u^6 - (E1+E2) u^4 + E1 E2 u^2
         - lambda [ (a+d) u^3 - (a E2 + d E1) u ] + lambda^2 (ad + b^2).
     """
-    return LaurentPoly(
-        {
-            (6, 0): Fraction(1),
-            (4, 0): -(pencil.E1 + pencil.E2),
-            (2, 0): pencil.E1 * pencil.E2,
-            (3, 1): -pencil.tau,
-            (1, 1): pencil.a * pencil.E2 + pencil.d * pencil.E1,
-            (0, 2): pencil.Delta,
-        }
-    )
+    u, lam = LaurentPoly.term(1, u=1), LaurentPoly.term(1, lam=1)
+    E1, E2 = pencil.E1, pencil.E2
+    return (u**6 - (E1 + E2) * u**4 + E1 * E2 * u**2
+            - lam * (pencil.tau * u**3 - (pencil.a * E2 + pencil.d * E1) * u)
+            + lam**2 * pencil.Delta)
 
 
 def spectral_value(E, tau, delta, Delta, u, lam):
@@ -120,19 +115,6 @@ def resolvent_floats(E, tau, delta, Delta, u: complex, lam: complex, tol: float)
     if abs(P) < tol:
         raise OnShellError(f"|P(u, lambda)| = {abs(P):.3e} < tol: on the spectral curve")
     return P, u * (2 * u**3 - tau * lam) / P, u * u / P
-
-
-def resolvent_tr_det(pencil: Pencil2, u, lam, tol: float = 1e-12):
-    """Closed-form (trace, det) of the resolvent R = A(u; lambda)^{-1}, in complex floats.
-
-    The closed forms of ``resolvent_floats`` require the canonical background
-    E2 = -E1.
-    """
-    if not pencil.is_canonical_background:
-        raise ValueError("closed forms require the canonical background E2 = -E1")
-    E, tau, delta, Delta = (float(v) for v in (pencil.E1, pencil.tau, pencil.delta, pencil.Delta))
-    _, tr, det = resolvent_floats(E, tau, delta, Delta, complex(u), complex(lam), tol)
-    return tr, det
 
 
 @dataclass(frozen=True)

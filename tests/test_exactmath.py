@@ -339,20 +339,33 @@ def test_cubic_rational_roots_oracles():
 # -- LaurentPoly ---------------------------------------------------------------
 
 
+def _monomial(**exps) -> tuple:
+    """The monomial key of prod name**exponent: names sorted, zero exponents dropped."""
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def _split(m: tuple, name: str) -> tuple[tuple, int]:
+    """(m without name, the exponent of name in m)."""
+    return tuple((v, e) for v, e in m if v != name), dict(m).get(name, 0)
+
+
 @st.composite
 def laurents(draw, max_lam=3):
+    # "t" sorts between "lam" and "u", so products merge names on both sides of it
     n = draw(st.integers(min_value=0, max_value=4))
     terms = {}
     for _ in range(n):
-        key = (
-            draw(st.integers(min_value=-3, max_value=4)),
-            draw(st.integers(min_value=0, max_value=max_lam)),
+        key = _monomial(
+            u=draw(st.integers(min_value=-3, max_value=4)),
+            lam=draw(st.integers(min_value=0, max_value=max_lam)),
+            t=draw(st.integers(min_value=-1, max_value=2)),
         )
         terms[key] = draw(rationals)
     return LaurentPoly(terms)
 
 
 U = LaurentPoly.term(1, u=1)
+LAM = LaurentPoly.term(1, lam=1)
 
 
 @given(laurents(), laurents(), laurents())
@@ -366,15 +379,24 @@ def test_laurent_ring_laws(f, g, h):
     assert f * LaurentPoly.term(1) == f
 
 
-@given(laurents(), laurents(), st.sampled_from(["u", "lam", "t"]))
+@given(laurents(), laurents(), st.sampled_from(["u", "lam", "t", "b"]))
 @settings(max_examples=60, deadline=None)
 def test_laurent_names_align_across_variable_sets(f, g, name):
-    # a polynomial over (t, u, lam) in another order is the same polynomial
-    t = LaurentPoly.term(1, **{name: 1})
-    h = LaurentPoly({(1, ju, jl): c for (ju, jl), c in g.terms.items()}, ("t", "u", "lam"))
-    assert h == g * LaurentPoly.term(1, t=1)
+    # g times a name none of its terms holds, built key by key, is the product
+    h = LaurentPoly({tuple(sorted(m + (("b", 1),))): c for m, c in g.terms.items()})
+    assert h == g * LaurentPoly.term(1, b=1)
     assert f * h == h * f and f + h == h + f
+    t = LaurentPoly.term(1, **{name: 1})
     assert (f * t) / t == f
+
+
+def test_laurent_products_store_one_key_per_monomial():
+    # the key of a product does not depend on the order of its factors
+    ab = LaurentPoly.term(1, a=1) * LaurentPoly.term(1, b=1)
+    ba = LaurentPoly.term(1, b=1) * LaurentPoly.term(1, a=1)
+    assert ab.terms == ba.terms == {(("a", 1), ("b", 1)): 1}
+    assert repr(ab) == repr(ba)
+    assert list((ab + ba).terms) == [(("a", 1), ("b", 1))]
 
 
 @given(laurents(), st.integers(min_value=0, max_value=6))
@@ -402,17 +424,18 @@ def test_laurent_divides_by_single_terms_only():
 
 
 @given(laurents(), laurents(max_lam=0))
-@example(LaurentPoly({(1, 0): 2, (-2, 0): Fraction(1, 3)}), LaurentPoly())
-@example(LaurentPoly({(0, 3): 1, (-1, 1): Fraction(-2, 5), (2, 0): 3}),
-         LaurentPoly({(2, 0): 1, (-1, 0): Fraction(3, 2), (0, 0): -1}))
+@example(2 * U + Fraction(1, 3) * U**-2, LaurentPoly())
+@example(LAM**3 - Fraction(2, 5) * LAM / U + 3 * U**2, U**2 + Fraction(3, 2) / U - 1)
 @settings(max_examples=80, deadline=None)
 def test_subs_lambda_matches_naive_sum(f, lam):
-    # sum of c u^ju L^jl, with L^jl by repeated multiplication: u-exponents of
-    # either side may be negative, the lambda-degrees of f may have gaps or be
-    # 0 only, and L may have several terms or none
+    # sum of c m L^jl over the terms c m lam^jl of f, with L^jl by repeated
+    # multiplication: exponents of either side may be negative, the
+    # lambda-degrees of f may have gaps or be 0 only, and L may have several
+    # terms or none
     expect = LaurentPoly()
-    for (ju, jl), c in f.terms.items():
-        piece = LaurentPoly.term(c, u=ju)
+    for m, c in f.terms.items():
+        rest, jl = _split(m, "lam")
+        piece = LaurentPoly({rest: c})
         for _ in range(jl):
             piece = piece * lam
         expect = expect + piece
@@ -421,22 +444,29 @@ def test_subs_lambda_matches_naive_sum(f, lam):
 
 def test_subs_composes_when_the_value_holds_the_variable():
     # lam -> lam + u is substituted once, not again inside its own value
-    lam = LaurentPoly.term(1, lam=1)
-    f = LaurentPoly({(1, 2): 3, (-1, 1): 1})
-    assert f.subs(lam=lam + U) == 3 * U * (lam + U) ** 2 + (lam + U) / U
+    f = 3 * U * LAM**2 + LAM / U
+    assert f.subs(lam=LAM + U) == 3 * U * (LAM + U) ** 2 + (LAM + U) / U
 
 
-@given(laurents(), rationals, rationals)
+@given(laurents(), rationals, rationals, rationals)
 @settings(max_examples=60, deadline=None)
-def test_subs_of_every_variable_is_evaluate(f, u, lam):
-    assume(u != 0)
-    value = sum((c * u**i * lam**j for (i, j), c in f.terms.items()), Fraction(0))
-    assert f.subs(u=u, lam=lam) == value
-    assert f.subs(u=u).subs(lam=lam) == value
+def test_subs_of_every_variable_is_evaluate(f, u, lam, t):
+    assume(u != 0 and t != 0)
+    at = {"u": u, "lam": lam, "t": t}
+    value = sum((c * math.prod(at[v] ** e for v, e in m) for m, c in f.terms.items()),
+                Fraction(0))
+    assert f.subs(u=u, lam=lam, t=t) == value
+    assert f.subs(u=u).subs(lam=lam).subs(t=t) == value
+
+
+def test_subs_of_a_negative_power_by_an_integer_is_exact():
+    assert (3 * U**-2 * LAM).subs(u=2) == Fraction(3, 4) * LAM
+    with pytest.raises(ZeroDivisionError):
+        (U**-1).subs(u=0)
 
 
 def _laurent_add(*fs):
-    """Term-by-term sum of (u, lam) polynomials, as a dict without zeros."""
+    """Term-by-term sum of monomial-keyed dicts, as a dict without zeros."""
     out = {}
     for f in fs:
         for key, c in f.items():
@@ -446,17 +476,20 @@ def _laurent_add(*fs):
 
 def _laurent_mul(f, g):
     out = {}
-    for (u1, l1), c1 in f.items():
-        for (u2, l2), c2 in g.items():
-            out[u1 + u2, l1 + l2] = out.get((u1 + u2, l1 + l2), 0) + c1 * c2
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            e1, e2 = dict(m1), dict(m2)
+            key = _monomial(**{v: e1.get(v, 0) + e2.get(v, 0) for v in e1.keys() | e2.keys()})
+            out[key] = out.get(key, 0) + c1 * c2
     return {key: c for key, c in out.items() if c != 0}
 
 
 def _laurent_subs_lam(f, g):
-    """f(u, g) term by term, each power g^jl by repeated _laurent_mul."""
+    """f with lam -> g term by term, each power g^jl by repeated _laurent_mul."""
     pieces = []
-    for (ju, jl), c in f.items():
-        piece = {(ju, 0): c}
+    for m, c in f.items():
+        rest, jl = _split(m, "lam")
+        piece = {rest: c}
         for _ in range(jl):
             piece = _laurent_mul(piece, g)
         pieces.append(piece)
@@ -464,52 +497,69 @@ def _laurent_subs_lam(f, g):
 
 
 def _stored(f: LaurentPoly) -> dict:
-    """f's terms, after checking that each is a nonzero Fraction."""
+    """f's terms, after checking each coefficient (a nonzero Fraction) and each
+    monomial (names strictly increasing, no zero exponent)."""
     assert all(type(c) is Fraction and c != 0 for c in f.terms.values()), f
+    for m in f.terms:
+        names = [v for v, _ in m]
+        assert names == sorted(set(names)) and all(e for _, e in m), f
     return f.terms
 
 
+def _subs_scalar(f, name, x):
+    """f with name -> x term by term, as a monomial-keyed dict."""
+    pieces = []
+    for m, c in f.items():
+        rest, e = _split(m, name)
+        pieces.append({rest: c * x**e})
+    return _laurent_add(*pieces)
+
+
 @given(laurents(), laurents(), rationals.filter(bool))
-@example(LaurentPoly({(1, 0): 2, (0, 1): 1}), LaurentPoly({(1, 0): -2, (0, 1): -1}),
-         Fraction(1))
+@example(2 * U + LAM, -2 * U - LAM, Fraction(1))
 @settings(max_examples=80, deadline=None)
 def test_laurent_results_match_a_term_by_term_reference(f, g, x):
-    # each result is built in one pass; none may keep a zero coefficient
+    # no result may keep a zero coefficient or a zero exponent
     f_, g_ = f.terms, g.terms
     assert _stored(f + g) == _laurent_add(f_, g_)
     assert _stored(f - g) == _laurent_add(f_, {k: -c for k, c in g_.items()})
     assert _stored(f + -f) == {}
     assert _stored(f * g) == _laurent_mul(f_, g_)
-    # u -> x, lam -> x: the exponents of the substituted names go to 0
-    assert _stored(f.subs(u=x)) == _laurent_add(*({(0, jl): c * x**ju} for (ju, jl), c in f_.items()))
-    assert _stored(f.subs(lam=x)) == _laurent_add(*({(ju, 0): c * x**jl} for (ju, jl), c in f_.items()))
+    if len(g_) == 1:  # g is a unit
+        ((m, c),) = g_.items()
+        assert _stored(f / g) == _laurent_mul(f_, {tuple((v, -e) for v, e in m): 1 / c})
+    # u -> x, lam -> x, t -> x: the substituted name leaves every monomial
+    for name in ("u", "lam", "t"):
+        assert _stored(f.subs(**{name: x})) == _subs_scalar(f_, name, x)
     # lam -> g, and lam -> u so that f (lam - u) cancels to 0
     assert _stored(f.subs(lam=g)) == _laurent_subs_lam(f_, g_)
-    assert _stored((f * (LaurentPoly.term(1, lam=1) - U)).subs(lam=U)) == {}
+    assert _stored((f * (LAM - U)).subs(lam=U)) == {}
 
 
-def test_subs_by_a_value_over_new_names_pads_earlier_terms():
-    f = LaurentPoly({(2, 0): 3, (0, 1): 1, (1, 1): -1})
+def test_subs_by_a_value_over_new_names_brings_them_in():
+    f = 3 * U**2 + LAM - U * LAM
     t = LaurentPoly.term(1, t=1)
     got = f.subs(lam=t + U)
-    assert got.vars == ("u", "lam", "t")
-    assert _stored(got) == {(2, 0, 0): 2, (0, 0, 1): 1, (1, 0, 0): 1, (1, 0, 1): -1}
+    assert _stored(got) == {(("u", 2),): 2, (("t", 1),): 1, (("u", 1),): 1,
+                            (("t", 1), ("u", 1)): -1}
     assert f.subs(lam=t - t) == 3 * U**2
 
 
 def test_subs_keeps_rejecting_inexact_values():
-    f = LaurentPoly({(2, 0): 3, (0, 1): 1})
+    f = 3 * U**2 + LAM
+    for value in (1.5, 1j):
+        with pytest.raises(TypeError):
+            f.subs(u=value)
     with pytest.raises(TypeError):
-        f.subs(u=1.5)
-    with pytest.raises(TypeError):
-        LaurentPoly({(0, 0): 0.5})
+        LaurentPoly({(): 0.5})
 
 
 @given(laurents())
 @settings(max_examples=40, deadline=None)
 def test_flip_u_is_involution(f):
     flipped = f.subs(u=-U)
-    assert flipped == LaurentPoly({(ju, jl): -c if ju % 2 else c for (ju, jl), c in f.terms.items()})
+    assert flipped == LaurentPoly({m: -c if dict(m).get("u", 0) % 2 else c
+                                   for m, c in f.terms.items()})
     assert flipped.subs(u=-U) == f
 
 
