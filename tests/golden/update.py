@@ -33,6 +33,8 @@ INVOCATIONS = {
     "reduce-check-A-zero": ["reduce-check", "--pencil", "3,1,2.25", "--ap", "3", "--p", "11",
                             "--format", "json"],
     "spectral-poly": ["spectral-poly", "--pencil", "3,1,1/2", "--format", "json"],
+    "spectral-poly-E2": ["spectral-poly", "--pencil", "3,1,1/2", "--E", "2", "--format", "json"],
+    "spectral-poly-E0": ["spectral-poly", "--E", "0", "--format", "json"],
     "evenness": ["evenness", "--pencil", "3,1,1/2", "--format", "json"],
     "pontryagin": ["pontryagin", "--pencil", "2,0,2", "--format", "json"],
     "eta-gram": ["eta-gram", "--pencil", "3,1,1/2", "--c", "2", "--format", "json"],
