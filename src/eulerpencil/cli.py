@@ -294,8 +294,10 @@ def cmd_pencil(args):
 
 
 @command("spectral-poly", PENCIL, E)
-def cmd_spectral_poly(args):
-    poly = pencil.spectral_poly(resolve_pencil(args))
+def cmd_spectral_terms(args):
+    pen = resolve_pencil(args)
+    u, lam = exactmath.LaurentPoly.term(1, u=1), exactmath.LaurentPoly.term(1, lam=1)
+    poly = pencil.spectral_value(pen.E1, pen.tau, pen.delta, pen.Delta, u, lam)
     exps = {(dict(m).get("u", 0), dict(m).get("lam", 0)): c for m, c in poly.terms.items()}
     return {"terms": {f"u^{ju} lam^{jl}": c for (ju, jl), c in sorted(exps.items())}}
 

@@ -203,16 +203,6 @@ def arcsine_cdf(t: float) -> float:
 # chi_{-4} and the eta identity
 
 
-def chi4(n: int) -> int:
-    """The odd character mod 4: +1 for n=1 mod 4, -1 for n=3 mod 4, else 0."""
-    r = n % 4
-    if r == 1:
-        return 1
-    if r == 3:
-        return -1
-    return 0
-
-
 def dirichlet_L_chi4(s: float, tol: float = 1e-12) -> float:
     """L(s, chi_{-4}) = sum_{k>=0} (-1)^k / (2k+1)^s by Euler transformation.
 

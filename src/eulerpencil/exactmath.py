@@ -103,11 +103,10 @@ class QuadExt:
 
     Cost: construction takes O(n^(1/3)) trial divisions in
     n = |num(d) * den(d)|.  Ring results (``+``, ``-``, ``*``, ``/``,
-    ``**``, ``conj``) inherit an operand's canonical radicand and do not
-    canonicalise again: ``+`` and ``-`` take five integer products, ``*``
-    six and ``/`` eleven, and each ends with one ``math.gcd(X, Y, Z)``;
-    ``**n`` takes O(log n) products; ``norm`` takes four and ``sign`` at
-    most three.
+    ``**``) inherit an operand's canonical radicand and do not canonicalise
+    again: ``+`` and ``-`` take five integer products, ``*`` six and ``/``
+    eleven, and each ends with one ``math.gcd(X, Y, Z)``; ``**n`` takes
+    O(log n) products and ``sign`` at most three.
     """
 
     __slots__ = ("_X", "_Y", "_k", "_Z")
@@ -270,14 +269,6 @@ class QuadExt:
         return hash((self._X, self._Y, self._k, self._Z))
 
     # -- field structure --------------------------------------------------
-
-    def conj(self) -> "QuadExt":
-        """The quadratic conjugate x - y*sqrt(d)."""
-        return QuadExt._from_ints(self._X, -self._Y, self._k, self._Z)
-
-    def norm(self) -> Fraction:
-        """Field norm x^2 - d*y^2 (a rational)."""
-        return Fraction(self._X * self._X - self._k * self._Y * self._Y, self._Z * self._Z)
 
     def sign(self) -> int:
         """Sign of the real value x + y*sqrt(d); requires d >= 0."""
@@ -458,24 +449,6 @@ class LaurentPoly:
             return NotImplemented
         return self.terms == self._coerce(other).terms
 
-    def subs(self, **values) -> "LaurentPoly":
-        """Substitute named variables by scalars or LaurentPolys, all at once.
-
-        Each term becomes its coefficient, times its monomial in the names not
-        substituted, times each substituted value raised to its exponent.
-        Names the polynomial lacks are ignored; ``subs(u=-LaurentPoly.term(1, u=1))``
-        is u -> -u.  A negative exponent divides by the value, which must then
-        be a unit; a float or complex value raises TypeError.
-        """
-        out = LaurentPoly()
-        for m, c in self.terms.items():
-            piece = LaurentPoly({tuple((v, e) for v, e in m if v not in values): c})
-            for v, e in m:
-                if v in values:
-                    piece = piece * self._coerce(values[v]) ** e
-            out = out + piece
-        return out
-
     def __repr__(self):
         return f"LaurentPoly({self.terms})"
 
@@ -494,17 +467,6 @@ class Matrix2:
 
     def det(self):
         return self.e11 * self.e22 - self.e12 * self.e21
-
-    def adj(self) -> "Matrix2":
-        return Matrix2(self.e22, -self.e12, -self.e21, self.e11)
-
-    def __matmul__(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
-        )
 
     def scale(self, factor) -> "Matrix2":
         return Matrix2(

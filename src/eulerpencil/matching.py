@@ -28,7 +28,7 @@ from .exactmath import (
     group_pseudoinverse2,
     quad_roots,
 )
-from .pencil import pencil_from_tdd, resolvent_floats, spectral_poly
+from .pencil import resolvent_floats, spectral_value
 
 CANONICAL_PARAMS = (Fraction(2), Fraction(0), Fraction(2))
 #: (u^2, k = lambda/u) at the ZCO basepoint u = 1/sqrt(2), lambda = (u^5 - u)/2
@@ -100,8 +100,8 @@ def _classify_sheet(w: complex, tol: float = 1e-12) -> str:
     return "real" if w.real > 0 else "imaginary"
 
 
-def _lambda_from_u(tau, a_p: int, p: int, u: complex) -> complex:
-    tau = float(tau)
+def _lambda_from_u(tau, a_p, p, u):
+    """lambda(u) = (2u^3 - (a_p/p) u)/tau, over any ring that holds its arguments."""
     return 2 * u**3 / tau - a_p * u / (p * tau)
 
 
@@ -130,7 +130,7 @@ def basepoint_solve(tau, delta, Delta, a_p: int, p: int, branch: str = "plus") -
         disc = cmath.sqrt(complex(B * B - 4 * A * C))
         w = (-complex(B) + sign * disc) / (2 * complex(A))
     u = cmath.sqrt(w)
-    lam = _lambda_from_u(tau, a_p, p, u)
+    lam = _lambda_from_u(float(tau), a_p, p, u)
     return Basepoint(w=w, u=u, lam=lam, branch=branch, sheet=_classify_sheet(w))
 
 
@@ -242,17 +242,18 @@ def symbolic_reduction_check(tau, delta, Delta, a_p: int, p: int) -> bool:
 def _master_reduction() -> bool:
     """Prove tau^2 (P(u, lambda(u)) - q Y) = -Y (A Y^2 + B Y + C), once, on first use.
 
-    Over Q[tau^+-1, delta, Delta, a, q]: P is ``spectral_poly`` of the pencil
-    with these invariants, A, B, C are ``master_quadratic``'s, Y = u^2 and
-    lambda(u) = (2u^3 - a u)/tau.  Multiplying back states the division by
-    the unit tau^2; ReductionFailureError if the two sides differ.
+    Over Q[tau^+-1, delta, Delta, a, q, u], on the functions the float matcher
+    runs: P is ``spectral_value`` at E = 1, lambda(u) is ``_lambda_from_u`` at
+    a_p = a and p = 1, and A, B, C are ``_master_coefficients``; Y = u^2.
+    Multiplying back states the division by the unit tau^2;
+    ReductionFailureError if the two sides differ.
     """
     names = ("tau", "delta", "Delta", "a", "q", "u")
     tau, delta, Delta, a, q, u = (LaurentPoly.term(1, **{name: 1}) for name in names)
     Y = u * u
-    P = spectral_poly(pencil_from_tdd(tau, delta, Delta))
+    P = spectral_value(1, tau, delta, Delta, u, _lambda_from_u(tau, a, 1, u))
     A, B, C = _master_coefficients(tau, delta, Delta, a, q)
-    lhs = tau**2 * (P.subs(lam=(2 * u**3 - a * u) / tau) - q * Y)
+    lhs = tau**2 * (P - q * Y)
     rhs = -Y * (A * Y * Y + B * Y + C)
     if lhs != rhs:
         raise ReductionFailureError(f"{lhs} != {rhs}: no reduction")

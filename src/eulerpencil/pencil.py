@@ -2,10 +2,10 @@
 
 A(u; lambda) = u^2 I - diag(E1, E2) - (lambda/u) V with V = ((a, b), (-b, d))
 and fundamental symmetry J = diag(1, -1).  This module computes the spectral
-polynomial and its closed-form value, the resolvent trace/determinant in
-complex floats, the eta-Gram residue pairing in closed form with its
-lambda-evenness and Pontryagin index, the j-invariant moduli map with its
-special loci, and the 8-dimensional monomial Gram.
+polynomial in closed form, the resolvent trace/determinant in complex floats,
+the eta-Gram residue pairing in closed form with its lambda-evenness and
+Pontryagin index, the j-invariant moduli map with its special loci, and the
+8-dimensional monomial Gram.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import LaurentPoly, QuadExt, Rational, _as_fraction
+from .exactmath import QuadExt, Rational, _as_fraction
 
 
 class OnShellError(ValueError):
@@ -59,17 +59,10 @@ class Pencil2:
     def mu(self) -> Rational:
         return -self.b_sq
 
-    @property
-    def is_canonical_background(self) -> bool:
-        return self.E2 == -self.E1
-
 
 def pencil_from_tdd(tau, delta, Delta, E=1) -> Pencil2:
-    """Pencil from invariants: a=(tau+delta)/2, d=(tau-delta)/2, b_sq=Delta-ad.
-
-    Rational invariants, or LaurentPolys for a pencil with symbolic entries."""
-    tau, delta, Delta, E = (v if isinstance(v, LaurentPoly) else _as_fraction(v)
-                            for v in (tau, delta, Delta, E))
+    """Pencil from rational invariants: a=(tau+delta)/2, d=(tau-delta)/2, b_sq=Delta-ad."""
+    tau, delta, Delta, E = (_as_fraction(v) for v in (tau, delta, Delta, E))
     a = (tau + delta) / 2
     d = (tau - delta) / 2
     return Pencil2(E1=E, E2=-E, a=a, d=d, b_sq=Delta - a * d)
@@ -81,26 +74,15 @@ def zco_pencil(E=1) -> Pencil2:
     return Pencil2(E1=E, E2=-E, a=Fraction(1), d=Fraction(-1), b_sq=Fraction(1))
 
 
-def spectral_poly(pencil: Pencil2) -> LaurentPoly:
-    """P(u, lambda) = det(u^2 A(u; lambda)) as a polynomial in (u, lam).
-
-    P = u^6 - (E1+E2) u^4 + E1 E2 u^2
-        - lambda [ (a+d) u^3 - (a E2 + d E1) u ] + lambda^2 (ad + b^2).
-    """
-    u, lam = LaurentPoly.term(1, u=1), LaurentPoly.term(1, lam=1)
-    E1, E2 = pencil.E1, pencil.E2
-    return (u**6 - (E1 + E2) * u**4 + E1 * E2 * u**2
-            - lam * (pencil.tau * u**3 - (pencil.a * E2 + pencil.d * E1) * u)
-            + lam**2 * pencil.Delta)
-
-
 def spectral_value(E, tau, delta, Delta, u, lam):
-    """P(u, lambda) on the background diag(E, -E), over any ring that holds its arguments.
+    """P(u, lambda) = u^2 det A(u; lambda) on the background diag(E, -E), over any
+    ring that holds its arguments.
 
-    P = Delta lambda^2 - E delta u lambda - E^2 u^2 - tau u^3 lambda + u^6, the
-    ``spectral_poly`` of ``pencil_from_tdd(tau, delta, Delta, E)`` (the identity is
-    proven over symbolic E, tau, delta, Delta, u and lambda in tests/test_pencil.py).
-    Each coefficient is the last factor of its product.
+    P = Delta lambda^2 - E delta u lambda - E^2 u^2 - tau u^3 lambda + u^6 (proven
+    equal to u^2 det A over symbolic E, tau, delta, Delta, u and lambda in
+    tests/test_pencil.py).  Called on LaurentPoly symbols u and lam it is the
+    spectral polynomial; called on numbers, its value.  Each coefficient is the
+    last factor of its product.
     """
     return lam**2 * Delta - u * lam * (E * delta) - u**2 * (E * E) - u**3 * lam * tau + u**6
 

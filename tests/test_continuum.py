@@ -17,7 +17,6 @@ from eulerpencil.continuum import (
     arcsine_cdf,
     arcsine_closed_form,
     arcsine_pdf,
-    chi4,
     dirichlet_L_chi4,
     eta_functional_equation_residual,
     eta_value,
@@ -171,12 +170,6 @@ def test_arcsine_cdf_monotone():
 
 
 # -- chi_{-4} and eta ---------------------------------------------------------
-
-
-def test_chi4_values_and_periodicity():
-    assert [chi4(n) for n in range(8)] == [0, 1, 0, -1, 0, 1, 0, -1]
-    assert chi4(1001) == chi4(1)
-    assert chi4(-3) == chi4(1)
 
 
 def test_L_chi4_oracles():

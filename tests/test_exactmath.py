@@ -45,7 +45,6 @@ def test_quadext_oracle_golden_ratio():
     # [DERIVED] phi = (1+sqrt 5)/2 satisfies phi^2 = phi + 1
     phi = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
     assert phi * phi == phi + 1
-    assert phi.norm() == Fraction(-1)  # (1+sqrt5)(1-sqrt5)/4
 
 
 @given(quadexts(), quadexts(d=5), quadexts(d=5))
@@ -69,7 +68,8 @@ def test_quadext_inverse_roundtrip(z):
 @given(quadexts())
 @settings(max_examples=80, deadline=None)
 def test_quadext_conj_norm_float_consistency(z):
-    assert z * z.conj() == QuadExt(z.norm())
+    # z times its conjugate x - y sqrt(d) is the rational norm x^2 - d y^2
+    assert z * QuadExt(z.x, -z.y, z.d) == QuadExt(z.x * z.x - z.d * z.y * z.y)
     assert math.isclose(
         complex(z).real,
         float(z.x) + float(z.y) * math.sqrt(z.d),
@@ -146,7 +146,6 @@ def test_quadext_matches_fraction_reference(pair, n):
         (a - b, (ra[0] - rb[0], ra[1] - rb[1])),
         (a * b, _ref_mul(ra, rb, d)),
         (a**n, power),
-        (a.conj(), (ra[0], -ra[1])),
         (-a, (-ra[0], -ra[1])),
     ]
     if b != 0:
@@ -154,7 +153,6 @@ def test_quadext_matches_fraction_reference(pair, n):
     for z, (x, y) in expect:
         _assert_invariant(z)
         assert (z.x, z.y, z.d) == (x, y, d if y else 0), (z, x, y)
-    assert a.norm() == _ref_norm(ra, d)
     if d >= 0:
         assert a.sign() == _ref_sign(ra, d)
 
@@ -280,7 +278,7 @@ def test_quadext_square_factor_moves_into_y(x, y, s, d):
 @settings(max_examples=80, deadline=None)
 def test_quadext_ring_results_stay_canonical(pair):
     a, b = pair
-    results = [a + b, a - b, a * b, -a, a.conj(), a**3]
+    results = [a + b, a - b, a * b, -a, a**3]
     if b != 0:
         results.append(a / b)
     for z in results:
@@ -344,20 +342,15 @@ def _monomial(**exps) -> tuple:
     return tuple(sorted((v, e) for v, e in exps.items() if e))
 
 
-def _split(m: tuple, name: str) -> tuple[tuple, int]:
-    """(m without name, the exponent of name in m)."""
-    return tuple((v, e) for v, e in m if v != name), dict(m).get(name, 0)
-
-
 @st.composite
-def laurents(draw, max_lam=3):
+def laurents(draw):
     # "t" sorts between "lam" and "u", so products merge names on both sides of it
     n = draw(st.integers(min_value=0, max_value=4))
     terms = {}
     for _ in range(n):
         key = _monomial(
             u=draw(st.integers(min_value=-3, max_value=4)),
-            lam=draw(st.integers(min_value=0, max_value=max_lam)),
+            lam=draw(st.integers(min_value=0, max_value=3)),
             t=draw(st.integers(min_value=-1, max_value=2)),
         )
         terms[key] = draw(rationals)
@@ -423,48 +416,6 @@ def test_laurent_divides_by_single_terms_only():
         U / LaurentPoly()
 
 
-@given(laurents(), laurents(max_lam=0))
-@example(2 * U + Fraction(1, 3) * U**-2, LaurentPoly())
-@example(LAM**3 - Fraction(2, 5) * LAM / U + 3 * U**2, U**2 + Fraction(3, 2) / U - 1)
-@settings(max_examples=80, deadline=None)
-def test_subs_lambda_matches_naive_sum(f, lam):
-    # sum of c m L^jl over the terms c m lam^jl of f, with L^jl by repeated
-    # multiplication: exponents of either side may be negative, the
-    # lambda-degrees of f may have gaps or be 0 only, and L may have several
-    # terms or none
-    expect = LaurentPoly()
-    for m, c in f.terms.items():
-        rest, jl = _split(m, "lam")
-        piece = LaurentPoly({rest: c})
-        for _ in range(jl):
-            piece = piece * lam
-        expect = expect + piece
-    assert f.subs(lam=lam) == expect
-
-
-def test_subs_composes_when_the_value_holds_the_variable():
-    # lam -> lam + u is substituted once, not again inside its own value
-    f = 3 * U * LAM**2 + LAM / U
-    assert f.subs(lam=LAM + U) == 3 * U * (LAM + U) ** 2 + (LAM + U) / U
-
-
-@given(laurents(), rationals, rationals, rationals)
-@settings(max_examples=60, deadline=None)
-def test_subs_of_every_variable_is_evaluate(f, u, lam, t):
-    assume(u != 0 and t != 0)
-    at = {"u": u, "lam": lam, "t": t}
-    value = sum((c * math.prod(at[v] ** e for v, e in m) for m, c in f.terms.items()),
-                Fraction(0))
-    assert f.subs(u=u, lam=lam, t=t) == value
-    assert f.subs(u=u).subs(lam=lam).subs(t=t) == value
-
-
-def test_subs_of_a_negative_power_by_an_integer_is_exact():
-    assert (3 * U**-2 * LAM).subs(u=2) == Fraction(3, 4) * LAM
-    with pytest.raises(ZeroDivisionError):
-        (U**-1).subs(u=0)
-
-
 def _laurent_add(*fs):
     """Term-by-term sum of monomial-keyed dicts, as a dict without zeros."""
     out = {}
@@ -484,18 +435,6 @@ def _laurent_mul(f, g):
     return {key: c for key, c in out.items() if c != 0}
 
 
-def _laurent_subs_lam(f, g):
-    """f with lam -> g term by term, each power g^jl by repeated _laurent_mul."""
-    pieces = []
-    for m, c in f.items():
-        rest, jl = _split(m, "lam")
-        piece = {rest: c}
-        for _ in range(jl):
-            piece = _laurent_mul(piece, g)
-        pieces.append(piece)
-    return _laurent_add(*pieces)
-
-
 def _stored(f: LaurentPoly) -> dict:
     """f's terms, after checking each coefficient (a nonzero Fraction) and each
     monomial (names strictly increasing, no zero exponent)."""
@@ -504,15 +443,6 @@ def _stored(f: LaurentPoly) -> dict:
         names = [v for v, _ in m]
         assert names == sorted(set(names)) and all(e for _, e in m), f
     return f.terms
-
-
-def _subs_scalar(f, name, x):
-    """f with name -> x term by term, as a monomial-keyed dict."""
-    pieces = []
-    for m, c in f.items():
-        rest, e = _split(m, name)
-        pieces.append({rest: c * x**e})
-    return _laurent_add(*pieces)
 
 
 @given(laurents(), laurents(), rationals.filter(bool))
@@ -528,57 +458,20 @@ def test_laurent_results_match_a_term_by_term_reference(f, g, x):
     if len(g_) == 1:  # g is a unit
         ((m, c),) = g_.items()
         assert _stored(f / g) == _laurent_mul(f_, {tuple((v, -e) for v, e in m): 1 / c})
-    # u -> x, lam -> x, t -> x: the substituted name leaves every monomial
-    for name in ("u", "lam", "t"):
-        assert _stored(f.subs(**{name: x})) == _subs_scalar(f_, name, x)
-    # lam -> g, and lam -> u so that f (lam - u) cancels to 0
-    assert _stored(f.subs(lam=g)) == _laurent_subs_lam(f_, g_)
-    assert _stored((f * (LAM - U)).subs(lam=U)) == {}
+    assert _stored(x * f) == _laurent_mul(f_, {(): x})
 
 
-def test_subs_by_a_value_over_new_names_brings_them_in():
-    f = 3 * U**2 + LAM - U * LAM
-    t = LaurentPoly.term(1, t=1)
-    got = f.subs(lam=t + U)
-    assert _stored(got) == {(("u", 2),): 2, (("t", 1),): 1, (("u", 1),): 1,
-                            (("t", 1), ("u", 1)): -1}
-    assert f.subs(lam=t - t) == 3 * U**2
-
-
-def test_subs_keeps_rejecting_inexact_values():
-    f = 3 * U**2 + LAM
+def test_laurent_rejects_inexact_coefficients():
     for value in (1.5, 1j):
         with pytest.raises(TypeError):
-            f.subs(u=value)
+            3 * U**2 + value
+        with pytest.raises(TypeError):
+            U * value
     with pytest.raises(TypeError):
         LaurentPoly({(): 0.5})
 
 
-@given(laurents())
-@settings(max_examples=40, deadline=None)
-def test_flip_u_is_involution(f):
-    flipped = f.subs(u=-U)
-    assert flipped == LaurentPoly({m: -c if dict(m).get("u", 0) % 2 else c
-                                   for m, c in f.terms.items()})
-    assert flipped.subs(u=-U) == f
-
-
 # -- Matrix2 ------------------------------------------------------------------
-
-
-complexes = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
-
-
-@given(complexes, complexes, complexes, complexes)
-@settings(max_examples=60, deadline=None)
-def test_adjugate_identity(a, b, c, d):
-    m = Matrix2(a, b, c, d)
-    prod = m @ m.adj()
-    det = m.det()
-    assert abs(prod.e11 - det) <= 1e-9 * max(1.0, abs(det))
-    assert abs(prod.e22 - det) <= 1e-9 * max(1.0, abs(det))
-    assert abs(prod.e12) <= 1e-9 * max(1.0, abs(det), abs(a * b))
-    assert abs(prod.e21) <= 1e-9 * max(1.0, abs(det), abs(c * d))
 
 
 def test_group_pseudoinverse_trace_law():

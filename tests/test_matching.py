@@ -44,7 +44,7 @@ from eulerpencil.matching import (
     zco_euler_factor,
     zco_matrix,
 )
-from eulerpencil.pencil import pencil_from_tdd, spectral_poly, zco_pencil
+from eulerpencil.pencil import spectral_value, zco_pencil
 from eulerpencil.curves import WeierstrassCurve, hasse_check, primes_upto
 
 PRIMES = primes_upto(60)
@@ -230,14 +230,16 @@ def test_symbolic_reduction_needs_a_nonzero_p():
 
 def test_reduction_identity_holds_generically():
     # tau^2 (P(u, lam(u)) - q u^2) = -Y (A Y^2 + B Y + C), lam(u) = (2u^3 - a u)/tau,
-    # Y = u^2, identically in (tau, delta, Delta, a, q)
+    # Y = u^2, identically in (tau, delta, Delta, a, q), on the functions the float
+    # matcher runs
     tau, delta, Delta, a, q, u = (LaurentPoly.term(1, **{name: 1})
                                   for name in ("tau", "delta", "Delta", "a", "q", "u"))
     Y = u * u
-    lam = (2 * u**3 - a * u) / tau
-    P = spectral_poly(pencil_from_tdd(tau, delta, Delta))
+    lam = matching._lambda_from_u(tau, a, 1, u)
+    assert lam == (2 * u**3 - a * u) / tau
+    P = spectral_value(1, tau, delta, Delta, u, lam)
     A, B, C = matching._master_coefficients(tau, delta, Delta, a, q)
-    assert tau**2 * (P.subs(lam=lam) - q * Y) == -Y * (A * Y * Y + B * Y + C)
+    assert tau**2 * (P - q * Y) == -Y * (A * Y * Y + B * Y + C)
     # the corollary: on lam(u) the resolvent numerator u (2u^3 - tau lam) is a u^2
     assert u * (2 * u**3 - tau * lam) == a * u**2
     assert matching._master_reduction.__wrapped__() is True
@@ -249,14 +251,21 @@ def _with_coefficients(change):
         *real(tau, delta, Delta, a, q), q)
 
 
+def _lambda_plus_u(tau, a_p, p, u):
+    return (2 * u**3 - a_p * u / p) / tau + u
+
+
 @pytest.mark.parametrize("name, wrong", [
     _with_coefficients(lambda A, B, C, q: (A, B, C + q)),
     _with_coefficients(lambda A, B, C, q: (A, B + 1, C)),
     _with_coefficients(lambda A, B, C, q: (2 * A, B, C)),
-    ("spectral_poly", lambda pen: spectral_poly(pen) - pen.Delta * LaurentPoly.term(1, lam=2)),
-], ids=["C+q", "B+1", "2A", "P-without-lam^2"])
+    ("spectral_value", lambda E, tau, delta, Delta, u, lam:
+        spectral_value(E, tau, delta, Delta, u, lam) - Delta * lam**2),
+    ("_lambda_from_u", _lambda_plus_u),
+], ids=["C+q", "B+1", "2A", "P-without-lam^2", "lam+u"])
 def test_symbolic_reduction_rejects_a_wrong_master_reduction(monkeypatch, name, wrong):
-    # the real derivation, run on a wrong master quadratic or a wrong P, fails
+    # the real derivation, run on a wrong master quadratic, a wrong P or a wrong
+    # lambda(u), fails
     assert symbolic_reduction_check(3, 1, Fraction(1, 2), 2, 13)
     monkeypatch.setattr(matching, name, wrong)
     matching._master_reduction.cache_clear()
@@ -345,14 +354,18 @@ def test_zco_matrix_is_the_zco_pencil_and_its_trace_ignores_c():
     # zco_matrix(u^2, lam/u) is A(u; lam) of zco_pencil(), and the DC term
     # diag(c, -c)/u^2 never moves the trace: tr A_c = 2u^2 for every (u, k, c)
     u, lam, k, c = (LaurentPoly.term(1, **{name: 1}) for name in ("u", "lam", "k", "c"))
-    assert u**2 * zco_matrix(u * u, lam / u).det() == spectral_poly(zco_pencil())
+    zco = zco_pencil()
+    assert (u**2 * zco_matrix(u * u, lam / u).det()
+            == spectral_value(zco.E1, zco.tau, zco.delta, zco.Delta, u, lam))
     assert zco_matrix(u * u, k, c).trace() == 2 * u * u
 
 
 def test_zco_operator_is_idempotent_on_shell():
     A = zco_matrix(*ZCO_ON_SHELL)
     assert A.det() == 0 and A.trace() == 1
-    assert A @ A == A
+    rows = ((A.e11, A.e12), (A.e21, A.e22))
+    square = [[sum(x * y for x, y in zip(r, c)) for c in zip(*rows)] for r in rows]
+    assert square == [list(r) for r in rows]  # A^2 = A
     assert group_pseudoinverse2(A) == A
 
 

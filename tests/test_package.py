@@ -19,14 +19,14 @@ EXPORTS = {
                "legendre_j", "load_catalogue", "quartic_to_weierstrass"],
     "pencil": ["EtaGram", "Pencil2", "eta_gram", "j1728_locus_Q", "j_formula",
                "j_formula_tausq", "lambda_evenness_check", "monomial_gram8", "pencil_from_tdd",
-               "pontryagin_index", "spectral_poly", "zco_pencil"],
+               "pontryagin_index", "zco_pencil"],
     "matching": ["Basepoint", "MatchReport", "basepoint_for", "basepoint_solve",
                  "canonical_basepoint", "cd_matching_ratio", "discriminant_identity",
                  "euler_match_verify", "golden_ratio_spectrum", "interpolation_obstruction",
                  "master_quadratic", "offshell_distance", "symbolic_reduction_check",
                  "tco_basepoint", "zco_basepoint", "zco_c_trace_invariance", "zco_euler_factor"],
     "continuum": ["ALGEBRAIC", "TANH", "Dispersion", "arcsine_cdf", "arcsine_closed_form",
-                  "arcsine_pdf", "chi4", "dirichlet_L_chi4", "eta_functional_equation_residual",
+                  "arcsine_pdf", "dirichlet_L_chi4", "eta_functional_equation_residual",
                   "eta_value", "universality_integral"],
     "stats": ["PrimeSeries", "accumulation_means", "bulk_count", "bulk_target",
               "delta_p_series", "sato_tate_report"],
@@ -35,7 +35,7 @@ NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
 def test_all_lists_every_export():
-    assert len(NAMES) == 63
+    assert len(NAMES) == 61
     assert sorted(eulerpencil.__all__) == sorted(name for _, name in NAMES)
     assert eulerpencil.__version__ == "0.1.0"
 

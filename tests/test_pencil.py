@@ -24,7 +24,7 @@ from eulerpencil.pencil import (
     pencil_from_tdd,
     pontryagin_index,
     resolvent_floats,
-    spectral_poly,
+    spectral_value,
     zco_pencil,
 )
 
@@ -66,17 +66,23 @@ def test_invariant_roundtrip_and_mu_relation(pen):
 # -- spectral polynomial ------------------------------------------------------
 
 
+def _symbolic(pen):
+    """P(u, lam) of a pencil on the background diag(E, -E), as a LaurentPoly in u and lam."""
+    u, lam = _names("u", "lam")
+    return spectral_value(pen.E1, pen.tau, pen.delta, pen.Delta, u, lam)
+
+
 def test_spectral_poly_canonical_oracle():
     # [DERIVED] canonical (2,0,2), E=1:
     # P = u^6 - 2 lam u^3 - u^2 + 2 lam^2
-    P = spectral_poly(pencil_from_tdd(2, 0, 2))
+    P = _symbolic(pencil_from_tdd(2, 0, 2))
     assert P == LaurentPoly({(("u", 6),): 1, (("lam", 1), ("u", 3)): -2, (("u", 2),): -1,
                              (("lam", 2),): 2})
 
 
 def test_spectral_poly_zco_oracle():
     # [DERIVED] ZCO: P = u^6 - E^2 u^2 - 2E lam u
-    P = spectral_poly(zco_pencil(3))
+    P = _symbolic(zco_pencil(3))
     assert P == LaurentPoly({(("u", 6),): 1, (("u", 2),): -9, (("lam", 1), ("u", 1)): -6})
 
 
@@ -84,15 +90,13 @@ def test_spectral_poly_zco_oracle():
 @settings(max_examples=40, deadline=None)
 def test_spectral_poly_equals_u2_det(pen):
     # P(u, lam) = u^2 det A(u; lam) at numeric sample points
-    P = spectral_poly(pen)
     rng = random.Random(1)
     for _ in range(3):
         u = complex(rng.uniform(0.4, 1.6), rng.uniform(-0.5, 0.5))
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         b = complex(pen.b_sq) ** 0.5
         det = pencil_matrix(pen, u, lam, b=b).det()
-        direct = sum(complex(c) * u ** dict(m).get("u", 0) * lam ** dict(m).get("lam", 0)
-                     for m, c in P.terms.items())
+        direct = spectral_value(*_floats(pen), u, lam)
         assert abs(direct - u * u * det) <= 1e-8 * max(1.0, abs(direct))
 
 
@@ -104,7 +108,7 @@ def test_spectral_poly_equals_u2_det(pen):
 def test_adjugate_times_pencil_is_P_over_u2(pen, b):
     # adj(A) A = det(A) I = (P/u^2) I, columnwise over the Laurent ring
     pen = dataclasses.replace(pen, b_sq=b * b)
-    target = spectral_poly(pen) * LaurentPoly.term(1, u=-2)
+    target = _symbolic(pen) * LaurentPoly.term(1, u=-2)
     # the entries of A, and the cofactor columns phi1 = (a22, -a21), phi2 = (-a12, a11)
     u2, k = LaurentPoly.term(1, u=2), LaurentPoly.term(1, u=-1, lam=1)
     a11 = u2 - pen.E1 - pen.a * k
@@ -132,7 +136,7 @@ def test_resolvent_closed_forms_match_inverse(pen):
         det = m.det()
         if abs(det) < 1e-6:
             continue
-        tr_direct = (m.adj().scale(1 / det)).trace()
+        tr_direct = m.trace() / det  # tr A^-1 = tr adj A / det A, and tr adj A = tr A
         det_direct = 1 / det
         _, tr, det_r = resolvent_floats(*_floats(pen), u, lam, 1e-12)
         assert abs(tr - tr_direct) <= 1e-7 * max(1.0, abs(tr_direct))
@@ -150,7 +154,7 @@ def test_resolvent_on_shell_raises():
 
 def _floats(pen):
     """(E, tau, delta, Delta) of a pencil on the background diag(E, -E), as floats."""
-    assert pen.is_canonical_background
+    assert pen.E2 == -pen.E1
     return tuple(float(v) for v in (pen.E1, pen.tau, pen.delta, pen.Delta))
 
 
@@ -165,22 +169,26 @@ def _coefficient(f, name, e):
 
 
 def test_spectral_poly_is_u2_det_identically():
-    # generic in (E1, E2, a, d, b): P = u^2 det A(u; lam) and
-    # u^2 tr adj A = u(2u^3 - tau lam) - (E1 + E2) u^2; with E2 = -E1 these give
-    # tr R = tr adj A / det A = u(2u^3 - tau lam)/P and det R = 1/det A = u^2/P
-    E1, E2, a, d, b, u, lam = _names("E1", "E2", "a", "d", "b", "u", "lam")
-    pen = pencil_mod.Pencil2(E1=E1, E2=E2, a=a, d=d, b_sq=b * b)
+    # generic in (E, a, d, b): on the background diag(E, -E) the closed form the
+    # matcher evaluates is P = u^2 det A(u; lam), and generic in (E1, E2, a, d, b),
+    # u^2 tr adj A = u^2 tr A = u(2u^3 - tau lam) - (E1 + E2) u^2; with E2 = -E1
+    # these give tr R = tr adj A / det A = u(2u^3 - tau lam)/P and det R = 1/det A = u^2/P
+    E, E1, E2, a, d, b, u, lam = _names("E", "E1", "E2", "a", "d", "b", "u", "lam")
+    pen = pencil_mod.Pencil2(E1=E, E2=-E, a=a, d=d, b_sq=b * b)
     k = lam / u
+    A = Matrix2(u * u - E - k * a, -k * b, k * b, u * u + E - k * d)
+    assert spectral_value(E, pen.tau, pen.delta, pen.Delta, u, lam) == u**2 * A.det()
     A = Matrix2(u * u - E1 - k * a, -k * b, k * b, u * u - E2 - k * d)
-    assert spectral_poly(pen) == u**2 * A.det()
-    assert u**2 * A.adj().trace() == u * (2 * u**3 - pen.tau * lam) - (E1 + E2) * u**2
+    assert u**2 * A.trace() == u * (2 * u**3 - pen.tau * lam) - (E1 + E2) * u**2
 
 
 def test_spectral_value_is_spectral_poly_identically():
-    # the closed form the float matcher evaluates, over symbolic (E, tau, delta, Delta, u, lam)
+    # the same closed form over symbolic (E, tau, delta, Delta, u, lam), with the
+    # coupling of pencil_from_tdd: a, d = (tau +- delta)/2 and b^2 = Delta - ad
     E, tau, delta, Delta, u, lam = _names("E", "tau", "delta", "Delta", "u", "lam")
-    assert (pencil_mod.spectral_value(E, tau, delta, Delta, u, lam)
-            == spectral_poly(pencil_from_tdd(tau, delta, Delta, E)))
+    a, d, k = (tau + delta) / 2, (tau - delta) / 2, lam / u
+    det = (u * u - E - k * a) * (u * u + E - k * d) + k * k * (Delta - a * d)  # det A
+    assert spectral_value(E, tau, delta, Delta, u, lam) == u**2 * det
 
 
 def test_tau_zero_spectral_curve_has_genus_zero_on_two_loci_only():
@@ -188,13 +196,16 @@ def test_tau_zero_spectral_curve_has_genus_zero_on_two_loci_only():
     # its lam-discriminant 4u^2 (t^2 + Delta - Delta u^4) is a square in u (genus 0)
     # only for Delta = 0 (the ZCO, up to lam -> t lam) or Delta = -t^2 (reducible)
     t, Delta, u, lam = _names("t", "Delta", "u", "lam")
-    P = spectral_poly(pencil_from_tdd(0, 2 * t, Delta))
+    P = spectral_value(1, 0, 2 * t, Delta, u, lam)
     assert P == Delta * lam**2 - 2 * t * lam * u + u**6 - u**2
     c2, c1, c0 = (_coefficient(P, "lam", e) for e in (2, 1, 0))
     assert c1 * c1 - 4 * c2 * c0 == 4 * u**2 * (t * t + Delta - Delta * u**4)
-    assert P.subs(Delta=0) == u * (u**5 - u - 2 * t * lam)
-    assert P.subs(Delta=0) == spectral_poly(zco_pencil()).subs(lam=t * lam)
-    assert P.subs(Delta=-t * t) == -(t * lam - u**3 + u) * (t * lam + u**3 + u)
+    zco = zco_pencil()
+    assert spectral_value(1, 0, 2 * t, 0, u, lam) == u * (u**5 - u - 2 * t * lam)
+    assert (spectral_value(1, 0, 2 * t, 0, u, lam)
+            == spectral_value(zco.E1, zco.tau, zco.delta, zco.Delta, u, t * lam))
+    assert (spectral_value(1, 0, 2 * t, -t * t, u, lam)
+            == -(t * lam - u**3 + u) * (t * lam + u**3 + u))
 
 
 # -- eta-Gram -----------------------------------------------------------------
@@ -229,15 +240,16 @@ def test_eta_gram_closed_form_is_an_identity():
     # with the columns phi1 = (f1, -b lam/u), phi2 = (b lam/u, f2) of adj A(u; lam),
     # is G = c diag(E2^2, -E1^2): no lam, no coupling, no off-diagonal term
     E1, E2, a, d, b, c, u, lam = _names("E1", "E2", "a", "d", "b", "c", "u", "lam")
-    k = lam / u
-    f1, f2 = u * u - E2 - d * k, u * u - E1 - a * k
-    phi = ((f1, -b * k), (b * k, f2))
+
+    def columns(v):  # phi1, phi2 at u = v
+        k = lam / v
+        f1, f2 = v * v - E2 - d * k, v * v - E1 - a * k
+        return (f1, -b * k), (b * k, f2)
 
     def residue(x, y):  # Res_{u=0} c x(-u)^T J y(u) / u
-        x0, x1 = (f.subs(u=-u) for f in x)
-        return _coefficient(c * (x0 * y[0] - x1 * y[1]) / u, "u", -1)
+        return _coefficient(c * (x[0] * y[0] - x[1] * y[1]) / u, "u", -1)
 
-    G = [[residue(x, y) for y in phi] for x in phi]
+    G = [[residue(x, y) for y in columns(u)] for x in columns(-u)]
     assert G == [[c * E2**2, 0], [0, -c * E1**2]]
     # eta_gram returns exactly these values
     rng = random.Random(3)
@@ -245,9 +257,9 @@ def test_eta_gram_closed_form_is_an_identity():
         e1, e2, cv = (Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
         pen = pencil_mod.Pencil2(E1=e1, E2=e2, a=Fraction(rng.randint(-9, 9)),
                                  d=Fraction(rng.randint(-9, 9)), b_sq=Fraction(rng.randint(-9, 9)))
-        for row, gram_row in zip(G, eta_gram(pen, cv).entries):
-            for g, entry in zip(row, gram_row):
-                value = g.subs(E1=e1, E2=e2, c=cv)
+        values = [[cv * e2**2, 0], [0, -cv * e1**2]]  # G at E1 = e1, E2 = e2, c = cv
+        for row, gram_row in zip(values, eta_gram(pen, cv).entries):
+            for value, entry in zip(row, gram_row):
                 assert entry == ({0: value} if value != 0 else {})
 
 
@@ -310,10 +322,11 @@ def test_j_formula_tausq_matches_j_formula():
 
 
 def test_j_numerator_factors_through_x0_2():
-    # tau^2 delta^2 + 12 Delta mu = x y - 4 Delta mu, identically in (tau, delta, Delta),
-    # with x = tau^2 - 4 Delta and y = delta^2 + 4 Delta
-    tau, delta, Delta = _names("tau", "delta", "Delta")
-    mu = pencil_from_tdd(tau, delta, Delta).mu
+    # tau^2 delta^2 + 12 Delta mu = x y - 4 Delta mu, identically in (a, d, b^2) and so
+    # in (tau, delta, Delta), with x = tau^2 - 4 Delta and y = delta^2 + 4 Delta
+    a, d, b_sq = _names("a", "d", "b_sq")
+    pen = pencil_mod.Pencil2(E1=1, E2=-1, a=a, d=d, b_sq=b_sq)
+    tau, delta, Delta, mu = pen.tau, pen.delta, pen.Delta, pen.mu
     assert mu == (tau**2 - delta**2) / 4 - Delta
     x, y = tau**2 - 4 * Delta, delta**2 + 4 * Delta
     assert tau**2 * delta**2 + 12 * Delta * mu == x * y - 4 * Delta * mu
