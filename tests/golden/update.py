@@ -83,6 +83,14 @@ INVOCATIONS = {
                                     "--format", "csv"],
     "sato-tate-model-j-3375": ["sato-tate", "--model", "1,-1,0,-2,-1", "--X", "20000",
                                "--format", "json"],
+    # the CM sweep on the curves with extra units (D = -3, and D = -4 on a quartic
+    # twist of y^2 = x^3 - x) and on a D = -43 model
+    "delta-series-27a3": ["delta-series", "--curve", "27a3", "--X", "3000", "--format", "csv"],
+    "delta-series-2304b1": ["delta-series", "--curve", "2304b1", "--X", "3000",
+                            "--format", "csv"],
+    "delta-series-model-j-884736000": ["delta-series", "--model", "0,0,1,-860,9707",
+                                       "--X", "3000", "--format", "csv"],
+    "sato-tate-27a3": ["sato-tate", "--curve", "27a3", "--X", "20000", "--format", "json"],
     "good-primes-model-j-32768": ["good-primes", "--model", "0,-1,1,-7,10", "--max-p", "200",
                                   "--format", "json"],
     "curve-j-model-j-884736": ["curve-j", "--model", "0,0,1,-38,90", "--format", "json"],
