@@ -565,6 +565,8 @@ def main(argv=None) -> int:
         for dest, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{dest} = {value} is not finite")
+        if getattr(args, "tol", 0.0) < 0:
+            raise ValueError(f"--tol = {args.tol} is negative")
         result = args.fn(args)
         payload, ok = result if isinstance(result, tuple) else (result, None)
         status = "INFO" if ok is None else "PASS" if ok else "FAIL"

@@ -18,12 +18,17 @@ curve's j:
   Hasse interval with points of E and of its twist, by baby-step giant-step:
   O((p / |E(Q)[2]|)^{1/4}) group operations per prime.
 
-``ap_sweep`` runs the same paths over the sieved good primes up to X.  A
-curated catalogue of curve/pencil data ships as package data.
+``ap_sweep`` runs the same paths over the sieved good primes up to X, but
+on a CM curve it finds the split primes above 229 and their (t, s) by one
+enumeration of the norm form 4p = t^2 + |D| s^2 (``_norm_form_reps``), not
+by a split test and Cornacchia per prime; ``ap_count`` and the other
+single-prime calls keep Cornacchia.  A curated catalogue of curve/pencil
+data ships as package data.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import operator
@@ -168,6 +173,12 @@ class WeierstrassCurve:
         return den, -27 * inv.c4, -54 * inv.c6
 
     @cached_property
+    def _short_model_ints(self) -> tuple[int, int, int, int, int]:
+        """(den, A num, A den, B num, B den) of ``_short_model``, for reduction mod p."""
+        den, A, B = self._short_model
+        return den, A.numerator, A.denominator, B.numerator, B.denominator
+
+    @cached_property
     def _two_torsion_order(self) -> int:
         """|E(Q)[2]|: 1 plus the number of rational roots of x^3 + A x + B.
 
@@ -203,12 +214,18 @@ def _coeff_mod(c: Fraction, p: int) -> int:
 
 def _short_model_mod(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
     """(A mod p, B mod p) of the short model; BadReductionError if the model
-    itself does not reduce mod p, as in the Legendre sweep."""
-    den, A, B = curve._short_model
+    itself does not reduce mod p, as in the Legendre sweep.
+
+    The denominators of A and B divide a power of the model's, so they are
+    units mod p once the model reduces.
+    """
+    den, a_num, a_den, b_num, b_den = curve._short_model_ints
     if den % p == 0:
         for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6):
             _coeff_mod(c, p)  # raises, naming the coefficient
-    return _coeff_mod(A, p), _coeff_mod(B, p)
+    if den == 1:
+        return a_num % p, b_num % p
+    return a_num * pow(a_den, -1, p) % p, b_num * pow(b_den, -1, p) % p
 
 
 def is_good_prime(curve: WeierstrassCurve, p: int) -> bool:
@@ -252,11 +269,67 @@ def ap_sweep(curve: WeierstrassCurve, X: int) -> Iterator[tuple[int, int, Option
     a_p is what ``ap_count`` returns; the primes come from the sieve, so no
     primality test runs per prime.  split is ``cm_splits(D, p)`` on a curve
     with CM by the order of discriminant D and None on a curve without CM.
+
+    On a CM curve the primes above ``_SHANKS_MESTRE_MIN_P`` skip the
+    per-prime split test and Cornacchia: ``_norm_form_reps`` enumerates
+    4p = t^2 + |D| s^2 once over all of them, which gives the split primes
+    with their (t, s), and ``_ap_cm_split`` takes a_p from each.  The primes
+    with no representation are inert, a_p = 0.
     """
     D = cm_discriminant(curve)
-    for p in good_primes(curve, X):
-        split = None if D is None else cm_splits(D, p)
-        yield p, _ap_good(curve, p, D, split), split
+    primes = good_primes(curve, X)
+    if D is None:
+        for p in primes:
+            yield p, _ap_good(curve, p, None, None), None
+        return
+    large = bisect.bisect_right(primes, _SHANKS_MESTRE_MIN_P)
+    for p in primes[:large]:
+        yield p, _ap_legendre(curve, p), cm_splits(D, p)
+    den = curve._short_model_ints[0]
+    for p, ts in _norm_form_reps(D, primes[large:]):
+        if ts is None:
+            if den % p == 0:
+                _short_model_mod(curve, p)  # raises, as ``_ap_cm`` does
+            yield p, 0, False
+        else:
+            yield p, _ap_cm_split(curve, p, D, *_short_model_mod(curve, p), *ts), True
+
+
+#: Primes per block of ``_norm_form_reps``: the memory of a CM sweep stays
+#: O(this), not O(pi(X)).
+_NORM_FORM_BLOCK = 4096
+
+
+def _norm_form_reps(D: int, primes: list[int]) -> Iterator[tuple[int, Optional[tuple[int, int]]]]:
+    """(p, (t, s)) for each p of ``primes``, with 4p = t^2 + |D| s^2, or (p, None).
+
+    D is one of the 13 discriminants of ``CM_DISCRIMINANTS`` and ``primes``
+    ascending primes above ``_SHANKS_MESTRE_MIN_P``.  There a prime splits in
+    the CM field exactly when it is the norm (t + s sqrt D)/2 of an element
+    of the order (class number one; Cox, "Primes of the Form x^2 + n y^2",
+    section 7), so one pass over the lattice points with s >= 1 and
+    t = D s mod 2 finds every split prime.  t >= c s keeps one point per
+    orbit of the unit group: c = 3 for D = -3, 2 for D = -4, 0 otherwise.
+    The pass runs block by block over ``primes`` and tests n = (t^2 +
+    |D| s^2)/4 against the block itself, so no second sieve is built.
+    """
+    k = -D
+    c = {-3: 3, -4: 2}.get(D, 0)
+    for i in range(0, len(primes), _NORM_FORM_BLOCK):
+        block = primes[i:i + _NORM_FORM_BLOCK]
+        reps: dict[int, Optional[tuple[int, int]]] = dict.fromkeys(block)
+        lo, hi = 4 * block[0], 4 * block[-1]
+        s = 1
+        while (c * c + k) * s * s <= hi:
+            rest = k * s * s
+            t = max(c * s, math.isqrt(max(lo - rest, 0)))
+            t += (t + k * s) % 2  # t = D s mod 2
+            for t in range(t, math.isqrt(hi - rest) + 1, 2):
+                n = (t * t + rest) >> 2
+                if n in reps:
+                    reps[n] = (t, s)
+            s += 1
+        yield from reps.items()
 
 
 def _ap_good(curve: WeierstrassCurve, p: int, D: Optional[int], split: Optional[bool]) -> int:
@@ -545,7 +618,17 @@ def _ap_cm(curve: WeierstrassCurve, p: int, D: int, split: bool) -> int:
     A, B = _short_model_mod(curve, p)
     if not split:
         return 0
-    t, s = _cornacchia(D, p)
+    return _ap_cm_split(curve, p, D, A, B, *_cornacchia(D, p))
+
+
+def _ap_cm_split(curve: WeierstrassCurve, p: int, D: int, A: int, B: int,
+                 t: int, s: int) -> int:
+    """a_p at a split prime p > 229 from any (t, s), t >= 0, with 4p = t^2 + |D| s^2.
+
+    (A, B) is the short model mod p.  The unit is picked as ``_ap_cm`` says;
+    ``_primary_gaussian`` and ``_primary_eisenstein`` accept every
+    representative of the orbit, and the other eleven D have only +-t.
+    """
     if D == -4:
         return _ap_j1728(A, p, *_primary_gaussian(t, s))
     if D == -3:
@@ -564,7 +647,8 @@ def _ap_cm(curve: WeierstrassCurve, p: int, D: int, split: bool) -> int:
 def _primary_gaussian(t: int, s: int) -> tuple[int, int]:
     """(a, b), b > 0, with pi = a + b i primary (a odd, b even, a + b = 1 mod 4).
 
-    (t, s) is Cornacchia's 4p = t^2 + 4 s^2, so p = (t/2)^2 + s^2 = N(pi).
+    (t, s), t, s > 0, is any solution of 4p = t^2 + 4 s^2 (Cornacchia's or the
+    sweep's), so p = (t/2)^2 + s^2 = N(pi).
     """
     a, b = (t // 2, s) if s % 2 == 0 else (s, t // 2)
     return (a if (a + b) % 4 == 1 else -a), b
@@ -573,8 +657,9 @@ def _primary_gaussian(t: int, s: int) -> tuple[int, int]:
 def _primary_eisenstein(t: int, s: int) -> tuple[int, int]:
     """(a, b) with pi = a + b omega primary (a = 2, b = 0 mod 3), omega^2 + omega + 1 = 0.
 
-    (t, s) is Cornacchia's 4p = t^2 + 3 s^2 = (2a - b)^2 + 3 b^2 = 4 N(pi);
-    of the six associates of (t + s)/2 + s omega exactly one is primary.
+    (t, s), t, s > 0, is any solution of 4p = t^2 + 3 s^2 = (2a - b)^2 + 3 b^2
+    = 4 N(pi), Cornacchia's or the sweep's; of the six associates of
+    (t + s)/2 + s omega exactly one is primary.
     """
     a, b = (t + s) // 2, s
     while b % 3:
@@ -617,7 +702,9 @@ def _ap_j0(B: int, p: int, a: int, b: int) -> int:
 
 def good_primes(curve: WeierstrassCurve, X: int) -> list[int]:
     """Ascending good primes p <= X."""
-    return [p for p in primes_upto(X) if is_good_prime(curve, p)]
+    disc = curve_invariants(curve).disc
+    num, den = disc.numerator, disc.denominator
+    return [p for p in primes_upto(X) if num % p and den % p]
 
 
 def hasse_check(a_p: int, p: int) -> bool:

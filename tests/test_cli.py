@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -203,12 +204,20 @@ def test_complex_input_reads_a_trailing_i(capsys, u, expect):
         ("arcsine", "--t", "nan"),
         ("bulk", "--curve", "256b2", "--X", "100", "--eps", "inf"),
         ("eta-feq", "--s", "0.5", "--tol", "nan"),
+        # a negative tolerance: no residual can meet it, true identity or not
+        ("match", "--ap", "0", "--p", "3", "--tol", "-1"),
+        ("eta-feq", "--s", "0.5", "--tol", "-1"),
+        ("zco-c", "--c", "1", "--u", "0.5", "--tol", "-0.001"),
+        ("universality", "--z", "2", "--tol", "-1"),
+        ("chi4-L", "--s", "2", "--tol", "-1"),
     ],
 )
 def test_exit_two_on_non_finite_float_option(capsys, argv):
     code, out, err = run(capsys, *argv, "--format", "json")
+    value = float(argv[-1])
     assert code == 2 and not out
-    assert err == f"error: {argv[-2]} = {float(argv[-1])} is not finite\n"
+    reason = "is negative" if math.isfinite(value) else "is not finite"
+    assert err == f"error: {argv[-2]} = {value} {reason}\n"
 
 
 @pytest.mark.parametrize(

@@ -262,7 +262,8 @@ def test_ap_count_rejects_model_not_integral_at_good_prime(p):
     # x -> x + u: same c4, c6 and discriminant, so p is good, but the model
     # does not reduce mod p, on either side of the counting cutoff (227 below
     # it).  The same move on y^2 = x^3 - x (CM by Z[i]) reaches the CM path
-    # above the cutoff, at split (997, 1009) and inert (1019) primes.
+    # above the cutoff, at split (997, 1009) and inert (1019) primes.  A sweep
+    # raises at p too, after the rows of the primes below it.
     u = Fraction(1, p)
     for model in ([0, 3 * u, 0, 3 * u * u + 1, u**3 + u + 1],
                   [0, 3 * u, 0, 3 * u * u - 1, u**3 - u]):
@@ -270,6 +271,10 @@ def test_ap_count_rejects_model_not_integral_at_good_prime(p):
         assert is_good_prime(curve, p)
         with pytest.raises(BadReductionError, match="not p-integral"):
             ap_count(curve, p)
+        rows = []
+        with pytest.raises(BadReductionError, match="not p-integral"):
+            rows.extend(ap_sweep(curve, p + 100))
+        assert [q for q, _, _ in rows] == [q for q in good_primes(curve, p) if q < p]
 
 
 # -- the CM path ----------------------------------------------------------------
@@ -299,12 +304,17 @@ def test_cm_path_matches_shanks_mestre_on_cm_catalogue():
 def test_cm_path_matches_shanks_mestre_for_every_cm_discriminant(j, D):
     # the general {+-t} candidates of the eleven D without extra units, and
     # the orders of conductor 2 and 3 (D = -12, -16, -27, -28)
+    # ap_sweep's rows, from the enumerated norm form, agree at every prime
     curve = _curve_with_j(j)
     assert cm_discriminant(curve) == D
-    for p in good_primes(curve, 6000):
+    rows = list(ap_sweep(curve, 6000))
+    assert [p for p, _, _ in rows] == good_primes(curve, 6000)
+    for p, a_p, split in rows:
+        assert split == cm_splits(D, p), (D, p)
         if p > curves._SHANKS_MESTRE_MIN_P:
             expect = curves._ap_shanks_mestre(curve, p)
-            assert curves._ap_cm(curve, p, D, cm_splits(D, p)) == expect, (D, p)
+            assert curves._ap_cm(curve, p, D, split) == expect, (D, p)
+            assert a_p == expect, (D, p)
 
 
 _PRIMES_1E6 = [p for p in primes_upto(10**6) if p > curves._SHANKS_MESTRE_MIN_P]
@@ -315,7 +325,10 @@ _PRIMES_1E6 = [p for p in primes_upto(10**6) if p > curves._SHANKS_MESTRE_MIN_P]
 @settings(max_examples=60, deadline=None)
 def test_cm_path_on_twists_matches_shanks_mestre(c, negate, j_zero, p):
     # the quartic twists y^2 = x^3 + A x (D = -4) and the sextic twists
-    # y^2 = x^3 + B (D = -3), where a residue symbol picks the unit
+    # y^2 = x^3 + B (D = -3), where a residue symbol picks the unit: at p from
+    # Cornacchia's (t, s) and from the sweep's, whose enumeration gives a
+    # block of one prime the (t, s) of a whole sweep; and every row of a
+    # sweep to 3000
     c = -c if negate else c
     curve = WeierstrassCurve.short(0, c) if j_zero else WeierstrassCurve.short(c, 0)
     assume(is_good_prime(curve, p))
@@ -324,6 +337,27 @@ def test_cm_path_on_twists_matches_shanks_mestre(c, negate, j_zero, p):
     a_p = ap_count(curve, p)
     assert a_p == curves._ap_cm(curve, p, D, cm_splits(D, p))
     assert a_p == curves._ap_shanks_mestre(curve, p)
+    [(_, ts)] = curves._norm_form_reps(D, [p])
+    assert (ts is not None) == cm_splits(D, p)
+    if ts is not None:
+        assert a_p == curves._ap_cm_split(curve, p, D, *curves._short_model_mod(curve, p), *ts)
+    for q, a_q, split in ap_sweep(curve, 3000):
+        assert (a_q, split) == (ap_count(curve, q), cm_splits(D, q)), q
+
+
+@pytest.mark.parametrize("D", sorted(curves.CM_DISCRIMINANTS.values()))
+def test_norm_form_enumeration_finds_exactly_the_split_primes(D):
+    # every prime in (229, 10^5], in blocks of the sweep's size: the primes
+    # with a representation 4p = t^2 + |D| s^2 are the split ones
+    primes = [p for p in primes_upto(100_000) if p > curves._SHANKS_MESTRE_MIN_P]
+    reps = list(curves._norm_form_reps(D, primes))
+    assert [p for p, _ in reps] == primes
+    c = {-3: 3, -4: 2}.get(D, 0)
+    for p, ts in reps:
+        assert (ts is not None) == cm_splits(D, p), p
+        if ts is not None:
+            t, s = ts
+            assert 4 * p == t * t - D * s * s and s >= 1 and t >= c * s, (p, ts)
 
 
 def test_ap_count_paths_by_curve(monkeypatch):
