@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, compress, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .exactmath import Rational, _as_fraction, cubic_rational_roots
@@ -71,8 +71,8 @@ def primes_upto(n: int) -> list[int]:
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return list(compress(range(n + 1), sieve))
 
 
 #: The first 13 primes.  As Miller-Rabin bases they decide primality exactly
