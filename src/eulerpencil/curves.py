@@ -28,7 +28,6 @@ data ships as package data.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import operator
@@ -282,11 +281,11 @@ def ap_sweep(curve: WeierstrassCurve, X: int) -> Iterator[tuple[int, int, Option
         for p in primes:
             yield p, _ap_good(curve, p, None, None), None
         return
-    large = bisect.bisect_right(primes, _SHANKS_MESTRE_MIN_P)
+    large = next((i for i, p in enumerate(primes) if p > _SHANKS_MESTRE_MIN_P), len(primes))
     for p in primes[:large]:
         yield p, _ap_legendre(curve, p), cm_splits(D, p)
     den = curve._short_model_ints[0]
-    for p, ts in _norm_form_reps(D, primes[large:]):
+    for p, ts in _norm_form_reps(D, islice(primes, large, None)):
         if ts is None:
             if den % p == 0:
                 _short_model_mod(curve, p)  # raises, as ``_ap_cm`` does
@@ -297,10 +296,11 @@ def ap_sweep(curve: WeierstrassCurve, X: int) -> Iterator[tuple[int, int, Option
 
 #: Primes per block of ``_norm_form_reps``: the memory of a CM sweep stays
 #: O(this), not O(pi(X)).
-_NORM_FORM_BLOCK = 4096
+_NORM_FORM_BLOCK = 2048
 
 
-def _norm_form_reps(D: int, primes: list[int]) -> Iterator[tuple[int, Optional[tuple[int, int]]]]:
+def _norm_form_reps(D: int,
+                    primes: Iterable[int]) -> Iterator[tuple[int, Optional[tuple[int, int]]]]:
     """(p, (t, s)) for each p of ``primes``, with 4p = t^2 + |D| s^2, or (p, None).
 
     D is one of the 13 discriminants of ``CM_DISCRIMINANTS`` and ``primes``
@@ -315,8 +315,8 @@ def _norm_form_reps(D: int, primes: list[int]) -> Iterator[tuple[int, Optional[t
     """
     k = -D
     c = {-3: 3, -4: 2}.get(D, 0)
-    for i in range(0, len(primes), _NORM_FORM_BLOCK):
-        block = primes[i:i + _NORM_FORM_BLOCK]
+    stream = iter(primes)
+    while block := list(islice(stream, _NORM_FORM_BLOCK)):
         reps: dict[int, Optional[tuple[int, int]]] = dict.fromkeys(block)
         lo, hi = 4 * block[0], 4 * block[-1]
         s = 1
